@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from expertmerge import embedding, pipeline
-from expertmerge.cli import bench_sweep
+from expertmerge.cli import bench_csv, bench_sweep
 from expertmerge.config import RunConfig
 from expertmerge.corpus import generate_corpus, read_corpus, write_corpus
 from expertmerge.evaluation import DEFAULT_METHODS, run_table1
@@ -74,14 +74,7 @@ def main() -> None:
         [float(b) for b in args.betas.split(",")],
         args.repetitions,
     )
-    lines = ["tau,beta,n_active,select_ms,load_ms,merge_ms,bytes_loaded"]
-    for row in rows:
-        lines.append(
-            f"{row['tau']},{row['beta']},{row['n_active']},"
-            f"{row['select_ms']:.4f},{row['load_ms']:.4f},{row['merge_ms']:.4f},"
-            f"{row['bytes_loaded']}"
-        )
-    (out / "latency.csv").write_text("\n".join(lines) + "\n")
+    (out / "latency.csv").write_text(bench_csv(rows))
     print(f"latency sweep written to {out / 'latency.csv'}")
 
 

@@ -4,7 +4,7 @@ character-level language model."""
 from .config import EvalProtocol, RunConfig
 from .embedding import EmbedderConfig, cosine, embed
 from .model import BaseParams, LoraAdapter, TrainConfig, Vocab
-from .routing import MergeWeights, RoutingConfig, SiftConfig, sparse_softmax
+from .routing import MergeWeights, RoutingConfig, sparse_softmax
 
 __all__ = [
     "BaseParams",
@@ -14,7 +14,6 @@ __all__ = [
     "MergeWeights",
     "RoutingConfig",
     "RunConfig",
-    "SiftConfig",
     "TrainConfig",
     "Vocab",
     "cosine",

@@ -85,28 +85,35 @@ def load_adapter(path: str | Path, base_fingerprint: bytes | None = None) -> lm.
     off += 32
     if base_fingerprint is not None and fingerprint != base_fingerprint:
         raise ValueError(f"adapter {path} was trained against a different base model")
-    (count,) = struct.unpack_from("<I", payload, off)
-    off += 4
     factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     rank = None
     alpha = None
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", payload, off)
+    try:  # a malformed length field points past the payload
+        (count,) = struct.unpack_from("<I", payload, off)
         off += 4
-        name = payload[off : off + name_len].decode("utf-8")
-        off += name_len
-        d_out, d_in, r = struct.unpack_from("<III", payload, off)
-        off += 12
-        (a,) = struct.unpack_from("<f", payload, off)
-        off += 4
-        rank, alpha = r, a
-        a_n = r * d_in
-        b_n = d_out * r
-        a_mat = np.frombuffer(payload, dtype="<f4", count=a_n, offset=off).reshape(r, d_in)
-        off += 4 * a_n
-        b_mat = np.frombuffer(payload, dtype="<f4", count=b_n, offset=off).reshape(d_out, r)
-        off += 4 * b_n
-        factors[name] = (a_mat.copy(), b_mat.copy())
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", payload, off)
+            off += 4
+            name = payload[off : off + name_len].decode("utf-8")
+            off += name_len
+            d_out, d_in, r = struct.unpack_from("<III", payload, off)
+            off += 12
+            (a,) = struct.unpack_from("<f", payload, off)
+            off += 4
+            rank, alpha = r, a
+            a_n = r * d_in
+            b_n = d_out * r
+            if off + 4 * (a_n + b_n) > len(payload):
+                raise ValueError(f"matrix {name!r} runs past the end")
+            a_mat = np.frombuffer(payload, dtype="<f4", count=a_n, offset=off).reshape(r, d_in)
+            off += 4 * a_n
+            b_mat = np.frombuffer(payload, dtype="<f4", count=b_n, offset=off).reshape(d_out, r)
+            off += 4 * b_n
+            factors[name] = (a_mat.copy(), b_mat.copy())
+    except (struct.error, ValueError) as exc:
+        raise ValueError(f"corrupt adapter: {path} ({exc})") from exc
+    if off != len(payload):
+        raise ValueError(f"corrupt adapter: {path} (trailing bytes)")
     if rank is None:
         raise ValueError(f"corrupt adapter: {path} (no matrices)")
     return lm.LoraAdapter(factors=factors, rank=rank, alpha=alpha)

@@ -74,16 +74,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     query = embedding.embed(
         cfg.embedder, query_doc[: cfg.protocol.query_prefix_len] or query_doc
     )
-    rows = bench_sweep(built.catalog, query, taus, betas, args.repetitions)
-    header = "tau,beta,n_active,select_ms,load_ms,merge_ms,bytes_loaded"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['tau']},{row['beta']},{row['n_active']},"
-            f"{row['select_ms']:.4f},{row['load_ms']:.4f},{row['merge_ms']:.4f},"
-            f"{row['bytes_loaded']}"
-        )
-    text = "\n".join(lines) + "\n"
+    text = bench_csv(bench_sweep(built.catalog, query, taus, betas, args.repetitions))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     print(text)
@@ -126,6 +117,18 @@ def bench_sweep(
                 }
             )
     return rows
+
+
+def bench_csv(rows: list[dict]) -> str:
+    """bench_sweep rows as CSV text with a header line."""
+    lines = ["tau,beta,n_active,select_ms,load_ms,merge_ms,bytes_loaded"]
+    for row in rows:
+        lines.append(
+            f"{row['tau']},{row['beta']},{row['n_active']},"
+            f"{row['select_ms']:.4f},{row['load_ms']:.4f},{row['merge_ms']:.4f},"
+            f"{row['bytes_loaded']}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -1,9 +1,12 @@
 """Bisecting k-means over embedding vectors.
 
 Starts from one cluster and repeatedly splits the cluster with the
-largest diameter using seeded 2-means until K clusters exist. Centroids
-are arithmetic means renormalized to unit length so that large clusters
-do not end up with systematically smaller centroid norms.
+largest diameter using seeded 2-means until K clusters exist. A split
+that would leave a side below MIN_CLUSTER_SIZE is not kept: the next
+widest cluster is split instead, so an outlier document is never cut off
+on its own. Centroids are arithmetic means renormalized to unit length
+so that large clusters do not end up with systematically smaller
+centroid norms.
 """
 
 from __future__ import annotations
@@ -17,6 +20,11 @@ import numpy as np
 EXACT_DIAMETER_CAP = 512
 
 TWO_MEANS_MAX_ITER = 25
+
+# Smallest cluster bisecting_kmeans leaves whenever K clusters of this size
+# fit in the data (K * MIN_CLUSTER_SIZE <= n). The evaluation protocol holds
+# out one test document per cluster and trains the expert on the rest.
+MIN_CLUSTER_SIZE = 2
 
 
 @dataclass
@@ -137,21 +145,64 @@ def _split_cluster(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return best_labels
 
 
+def _rebalance(points: np.ndarray, side: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Move a 2-means cut so that side 1 gets the allowed size nearest its
+    own; points join side 1 in order of how much nearer its mean they are."""
+    c0 = points[side == 0].mean(axis=0)
+    c1 = points[side == 1].mean(axis=0)
+    margin = np.linalg.norm(points - c0, axis=1) - np.linalg.norm(points - c1, axis=1)
+    n1 = min(sizes, key=lambda a: abs(a - int(side.sum())))
+    out = np.zeros(len(points), dtype=np.int64)
+    out[np.lexsort((np.arange(len(points)), -margin))[:n1]] = 1
+    return out
+
+
 def bisecting_kmeans(embeddings: np.ndarray, K: int, seed: int) -> ClusterAssignment:
-    """Cluster rows of `embeddings` into exactly K non-empty clusters."""
+    """Cluster rows of `embeddings` into exactly K non-empty clusters.
+
+    When K * MIN_CLUSTER_SIZE <= n every cluster gets at least
+    MIN_CLUSTER_SIZE members. Each step splits the widest cluster whose
+    2-means split keeps both sides at that size and leaves room for K such
+    clusters; if no cluster has such a split, the widest cluster's cut is
+    moved until it does.
+    """
     x = np.asarray(embeddings, dtype=np.float64)
     n = len(x)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K > n:
         raise ValueError(f"K > n: requested {K} clusters for {n} embeddings")
+    m = MIN_CLUSTER_SIZE if K * MIN_CLUSTER_SIZE <= n else 1
     rng = np.random.default_rng(seed)
     clusters: list[np.ndarray] = [np.arange(n)]
     while len(clusters) < K:
-        diameters = [_diameter(x[idx]) if len(idx) > 1 else -1.0 for idx in clusters]
-        target = int(np.argmax(diameters))
-        idx = clusters.pop(target)
-        side = _split_cluster(x[idx], rng)
+        # clusters of size m that could still be formed beyond the K needed
+        spare = sum(len(idx) // m for idx in clusters) - K
+
+        def allowed(size: int, n1: int) -> bool:
+            room = n1 // m + (size - n1) // m - size // m
+            return m <= n1 <= size - m and spare + room >= 0
+
+        # widest first; ties keep the lower position
+        candidates = sorted(
+            (i for i, idx in enumerate(clusters) if len(idx) >= 2 * m),
+            key=lambda i: -_diameter(x[clusters[i]]),
+        )
+        if not candidates:
+            raise ValueError(f"no cluster can be split into sides of {m} or more")
+        widest = None
+        for target in candidates:
+            idx = clusters[target]
+            side = _split_cluster(x[idx], rng)
+            if allowed(len(idx), int(side.sum())):
+                break
+            widest = widest or (target, side)
+        else:
+            target, side = widest
+            idx = clusters[target]
+            sizes = [a for a in range(len(idx) + 1) if allowed(len(idx), a)]
+            side = _rebalance(x[idx], side, sizes)
+        clusters.pop(target)
         clusters.insert(target, idx[side == 0])
         clusters.insert(target + 1, idx[side == 1])
     labels = np.empty(n, dtype=np.int64)

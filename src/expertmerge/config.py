@@ -18,7 +18,7 @@ import yaml
 from .corpus import CorpusConfig
 from .embedding import EmbedderConfig
 from .model import TrainConfig
-from .routing import RoutingConfig, SiftConfig
+from .routing import RoutingConfig
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class RunConfig:
     base_train: TrainConfig = field(default_factory=lambda: _desk_train(0, 5e-3, 1))
     expert_train: TrainConfig = field(default_factory=lambda: _desk_train(0, 1e-2, 2))
     routing: RoutingConfig = field(default_factory=RoutingConfig)
-    sift: SiftConfig = field(default_factory=SiftConfig)
     protocol: EvalProtocol = field(default_factory=EvalProtocol)
 
     _NESTED = {
@@ -70,9 +69,18 @@ class RunConfig:
         "base_train": TrainConfig,
         "expert_train": TrainConfig,
         "routing": RoutingConfig,
-        "sift": SiftConfig,
         "protocol": EvalProtocol,
     }
+
+    def __post_init__(self) -> None:
+        if self.n_clusters < 1:
+            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        # sparse_softmax needs tau < 1/K to keep at least one expert
+        if self.routing.fixed_n is None and self.routing.tau >= 1.0 / self.n_clusters:
+            raise ValueError(
+                f"routing.tau={self.routing.tau} must be below 1/n_clusters "
+                f"= 1/{self.n_clusters} unless routing.fixed_n is set"
+            )
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -90,16 +98,24 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
+        """Build from nested dicts; an unknown or mistyped key raises ValueError."""
         kwargs: dict[str, Any] = {}
-        for key, value in data.items():
-            if key in cls._NESTED:
-                sub = dict(value)
-                if "ngram_orders" in sub:
-                    sub["ngram_orders"] = tuple(sub["ngram_orders"])
-                kwargs[key] = cls._NESTED[key](**sub)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        try:
+            for key, value in data.items():
+                if key == "sift":  # removed routing option; older catalogs' configs carry it
+                    continue
+                if key in cls._NESTED:
+                    sub = dict(value)
+                    if key == "routing":
+                        sub.pop("weighting", None)  # removed with the sift option
+                    if "ngram_orders" in sub:
+                        sub["ngram_orders"] = tuple(sub["ngram_orders"])
+                    kwargs[key] = cls._NESTED[key](**sub)
+                else:
+                    kwargs[key] = value
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise ValueError(f"bad config: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import embedding, merging, model as lm, routing
 from .catalog import ExpertCatalog, LatencyReport, load_active, timed_route_merge
-from .clustering import ClusterAssignment
+from .clustering import MIN_CLUSTER_SIZE, ClusterAssignment
 from .config import EvalProtocol, RunConfig
 from .routing import MergeWeights, RoutingConfig
 
@@ -41,7 +41,7 @@ def split_holdout(
     test: dict[int, int] = {}
     for k in range(assignment.K):
         members = assignment.members(k)
-        if len(members) < 2:
+        if len(members) < MIN_CLUSTER_SIZE:
             raise ValueError(f"cluster {k} too small to hold out a test document")
         shuffled = members[rng.permutation(len(members))]
         n_hold = max(1, int(round(protocol.holdout_fraction * len(members))))
@@ -86,44 +86,19 @@ def ttt_adapt(
     neighbors = [corpus_docs[i] for i in order]
 
     adapter = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
-    params: dict[str, np.ndarray] = {}
-    for name, (a, b) in adapter.factors.items():
-        params[f"{name}.A"] = a.astype(np.float64)
-        params[f"{name}.B"] = b.astype(np.float64)
-    opt = lm._Adam(params, cfg)
-
-    def snapshot() -> lm.LoraAdapter:
-        return lm.LoraAdapter(
-            factors={
-                n: (
-                    params[f"{n}.A"].astype(np.float32),
-                    params[f"{n}.B"].astype(np.float32),
-                )
-                for n in adapter.factors
-            },
-            rank=rank,
-            alpha=alpha,
-        )
-
+    params = lm._lora_params(adapter)
+    loss_and_grad = lm._lora_loss(base, adapter, params, cfg.max_seq_len)
+    opt = lm._AdamW(params, cfg)
     best: lm.LoraAdapter | None = None
     best_nll = np.inf
     for _ in range(epochs):
-        for doc in neighbors:
-            work = snapshot()
-            loss, grads = lm.nll_and_grad(base, work, [doc], cfg.max_seq_len)
-            if not np.isfinite(loss):
-                raise ArithmeticError("diverged during test-time adaptation")
-            flat = {}
-            for name, (ga, gb) in grads.items():
-                flat[f"{name}.A"] = ga
-                flat[f"{name}.B"] = gb
-            opt.step(params, flat)
+        lm._fit(params, ([doc] for doc in neighbors), loss_and_grad, opt)
         if epochs > 1:
-            checkpoint = snapshot()
+            checkpoint = lm._lora_from_params(adapter, params)
             nll = lm.batch_nll(base, checkpoint, neighbors, cfg.max_seq_len)
             if nll < best_nll:
                 best, best_nll = checkpoint, nll
-    return best if best is not None else snapshot()
+    return best if best is not None else lm._lora_from_params(adapter, params)
 
 
 def expert_cluster_matrix(
@@ -206,19 +181,6 @@ class ProbeResult:
     diam_other: float
 
 
-def _adapter_from_flat(
-    template: lm.LoraAdapter, params: dict[str, np.ndarray]
-) -> lm.LoraAdapter:
-    return lm.LoraAdapter(
-        factors={
-            n: (params[f"{n}.A"].astype(np.float32), params[f"{n}.B"].astype(np.float32))
-            for n in template.factors
-        },
-        rank=template.rank,
-        alpha=template.alpha,
-    )
-
-
 def _full_batch_gd(
     base: lm.BaseParams,
     docs: list[str],
@@ -227,21 +189,17 @@ def _full_batch_gd(
     T: int,
 ) -> lm.LoraAdapter:
     """Plain gradient descent on the mean of per-document losses."""
-    params: dict[str, np.ndarray] = {}
-    for name, (a, b) in init.factors.items():
-        params[f"{name}.A"] = a.astype(np.float64)
-        params[f"{name}.B"] = b.astype(np.float64)
+    params = lm._lora_params(init)
     for _ in range(T):
-        work = _adapter_from_flat(init, params)
+        work = lm._lora_from_params(init, params)
         acc: dict[str, np.ndarray] = {}
         for doc in docs:
             _, grads = lm.nll_and_grad(base, work, [doc])
-            for name, (ga, gb) in grads.items():
-                acc[f"{name}.A"] = acc.get(f"{name}.A", 0.0) + ga / len(docs)
-                acc[f"{name}.B"] = acc.get(f"{name}.B", 0.0) + gb / len(docs)
+            for key, g in lm._flat_factors(grads).items():
+                acc[key] = acc.get(key, 0.0) + g / len(docs)
         for key in params:
             params[key] = params[key] - eta * acc[key]
-    return _adapter_from_flat(init, params)
+    return lm._lora_from_params(init, params)
 
 
 def _flat_grad(base: lm.BaseParams, adapter: lm.LoraAdapter, doc: str) -> np.ndarray:
@@ -343,7 +301,7 @@ def proposition_probe(
                     size = ref.size
                     params[f"{name}.{suffix}"] = perturbed[off : off + size].reshape(ref.shape)
                     off += size
-            p1 = lm.forward(base, _adapter_from_flat(theta_nn, params), prompt)
+            p1 = lm.forward(base, lm._lora_from_params(theta_nn, params), prompt)
             ratio = max(
                 ratio,
                 float(np.linalg.norm(p1.astype(np.float64) - p_nn.astype(np.float64))) / eps,
@@ -370,24 +328,9 @@ def ensemble_perplexity(
     eval_prefix_len: int = 0,
 ) -> float:
     """Perplexity of the weighted mixture of per-expert distributions."""
-    total = 0.0
-    count = 0
-    weight_maps = {
-        k: lm._effective_weights(base, adapters[k]) for k in weights.support
-    }
-    for doc in docs:
-        if len(doc) <= eval_prefix_len:
-            raise ValueError(f"document shorter than eval prefix: {doc[:32]!r}")
-        inputs, targets = lm._doc_pairs(base.vocab, doc, 100_000)
-        inputs = inputs[eval_prefix_len:]
-        scored = targets[eval_prefix_len:]
-        mix = np.zeros((len(inputs), base.vocab.size), dtype=np.float64)
-        for k in weights.support:
-            logits, _ = lm._position_logits(base, weight_maps[k], inputs)
-            mix += weights.entries[k] * lm._softmax(logits)
-        total += float(-np.log(mix[np.arange(len(scored)), scored]).sum())
-        count += len(scored)
-    return float(np.exp(total / count))
+    inputs, targets = lm._scored_pairs(base.vocab, docs, eval_prefix_len, 100_000)
+    mix = sum(weights.entries[k] * lm._prob_table(base, adapters[k]) for k in weights.support)
+    return float(np.exp(-np.log(mix[inputs, targets]).mean()))
 
 
 DEFAULT_METHODS = (

@@ -11,6 +11,7 @@ reproducible and finite-difference checks are tight.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,10 +214,14 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
+# the dense weights of one model, in the order BaseParams stores them
+DENSE_NAMES = ("embed_table",) + TARGET_NAMES
+
+
 def _effective_weights(
     base: BaseParams, adapter: LoraAdapter | None
 ) -> dict[str, np.ndarray]:
-    weights = {name: getattr(base, name).astype(np.float64) for name in TARGET_NAMES}
+    weights = {name: getattr(base, name).astype(np.float64) for name in DENSE_NAMES}
     if adapter is not None:
         for name in adapter.factors:
             weights[name] = weights[name] + adapter.delta(name)
@@ -224,14 +229,16 @@ def _effective_weights(
 
 
 def _position_logits(
-    base: BaseParams, weights: dict[str, np.ndarray], tokens: np.ndarray
+    weights: dict[str, np.ndarray], tokens: np.ndarray
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Logits for each position's next token plus cached activations."""
-    x = base.embed_table.astype(np.float64)[tokens]  # (n, h)
-    a1 = x @ weights["block0"].T
-    h1 = np.tanh(a1)
-    a2 = h1 @ weights["block1"].T
-    h2 = np.tanh(a2)
+    """Next-token logits for each input token plus cached activations.
+
+    Each row depends on its own input token only, so the model is a
+    bigram model: the V rows of all tokens describe it completely.
+    """
+    x = weights["embed_table"][tokens]  # (n, h)
+    h1 = np.tanh(x @ weights["block0"].T)
+    h2 = np.tanh(h1 @ weights["block1"].T)
     logits = h2 @ weights["out_proj"].T  # (n, V)
     return logits, {"x": x, "h1": h1, "h2": h2}
 
@@ -242,33 +249,83 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _prob_table(base: BaseParams, adapter: LoraAdapter | None) -> np.ndarray:
+    """(V, V) next-token distribution: row i follows input token i."""
+    weights = _effective_weights(base, adapter)
+    logits, _ = _position_logits(weights, np.arange(base.vocab.size))
+    return _softmax(logits)
+
+
 def forward(
     base: BaseParams, adapter: LoraAdapter | None, prefix: str
 ) -> np.ndarray:
     """Next-token distribution after `prefix` (document start if empty)."""
     global FORWARD_EVALS
     token = base.vocab.index(prefix[-1]) if prefix else 0  # BOS
-    weights = _effective_weights(base, adapter)
-    logits, _ = _position_logits(base, weights, np.array([token]))
+    logits, _ = _position_logits(_effective_weights(base, adapter), np.array([token]))
     FORWARD_EVALS += 1
     return _softmax(logits)[0]
 
 
-def _doc_pairs(vocab: Vocab, doc: str, max_seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """(input, target) token pairs for every next-token prediction."""
-    ids = vocab.encode(doc[:max_seq_len])
-    inputs = np.concatenate(([0], ids))  # BOS first
-    targets = np.concatenate((ids, [1]))  # EOS last
-    return inputs, targets
-
-
 def _batch_pairs(
-    vocab: Vocab, docs: list[str], max_seq_len: int
+    vocab: Vocab, docs: list[str], max_seq_len: int, eval_prefix_len: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [_doc_pairs(vocab, doc, max_seq_len) for doc in docs]
-    inputs = np.concatenate([p[0] for p in pairs])
-    targets = np.concatenate([p[1] for p in pairs])
-    return inputs, targets
+    """(input, target) token pairs of every next-token prediction after the
+    first eval_prefix_len of each doc; BOS comes first and EOS last."""
+    inputs, targets = [], []
+    for doc in docs:
+        ids = vocab.encode(doc[:max_seq_len])
+        inputs.append(np.concatenate(([0], ids))[eval_prefix_len:])
+        targets.append(np.concatenate((ids, [1]))[eval_prefix_len:])
+    return np.concatenate(inputs), np.concatenate(targets)
+
+
+def _scored_pairs(
+    vocab: Vocab, docs: list[str], eval_prefix_len: int, max_seq_len: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_batch_pairs for scoring: every doc must extend past the prefix."""
+    if not docs:
+        raise ValueError("docs must be non-empty")
+    for doc in docs:
+        if len(doc) <= eval_prefix_len:
+            raise ValueError(
+                f"document shorter than eval prefix ({len(doc)} <= {eval_prefix_len}): {doc[:32]!r}"
+            )
+    return _batch_pairs(vocab, docs, max_seq_len, eval_prefix_len)
+
+
+def _pair_counts(vocab: Vocab, docs: list[str], max_seq_len: int) -> np.ndarray:
+    """(V, V) count of each (input, target) pair over the batch."""
+    inputs, targets = _batch_pairs(vocab, docs, max_seq_len)
+    v = vocab.size
+    return np.bincount(inputs * v + targets, minlength=v * v).reshape(v, v).astype(np.float64)
+
+
+def _backward(
+    weights: dict[str, np.ndarray], counts: np.ndarray
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean NLL of the counted pairs and its gradient w.r.t. every dense weight.
+
+    Runs on the distinct input tokens only: a token seen c times with
+    target counts c_j contributes c * p - c_j to its logit gradient.
+    """
+    rows = np.flatnonzero(counts.any(axis=1))
+    c = counts[rows]
+    n = c.sum()
+    logits, cache = _position_logits(weights, rows)
+    probs = _softmax(logits)
+    seen = c > 0
+    nll = float(-(c[seen] * np.log(probs[seen])).sum() / n)
+
+    dlogits = (c.sum(axis=1, keepdims=True) * probs - c) / n
+    grads = {"out_proj": dlogits.T @ cache["h2"]}
+    da2 = (dlogits @ weights["out_proj"]) * (1.0 - cache["h2"] ** 2)
+    grads["block1"] = da2.T @ cache["h1"]
+    da1 = (da2 @ weights["block1"]) * (1.0 - cache["h1"] ** 2)
+    grads["block0"] = da1.T @ cache["x"]
+    grads["embed_table"] = np.zeros_like(weights["embed_table"])
+    grads["embed_table"][rows] = da1 @ weights["block0"]
+    return nll, grads
 
 
 def nll_and_grad(
@@ -280,25 +337,8 @@ def nll_and_grad(
     """Mean next-token NLL over the batch and gradients w.r.t. A, B only."""
     if not docs:
         raise ValueError("empty batch")
-    inputs, targets = _batch_pairs(base.vocab, docs, max_seq_len)
     weights = _effective_weights(base, adapter)
-    logits, cache = _position_logits(base, weights, inputs)
-    probs = _softmax(logits)
-    n = len(inputs)
-    nll = float(-np.log(probs[np.arange(n), targets]).mean())
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), targets] -= 1.0
-    dlogits /= n
-    d_w = {}
-    d_w["out_proj"] = dlogits.T @ cache["h2"]
-    dh2 = dlogits @ weights["out_proj"]
-    da2 = dh2 * (1.0 - cache["h2"] ** 2)
-    d_w["block1"] = da2.T @ cache["h1"]
-    dh1 = da2 @ weights["block1"]
-    da1 = dh1 * (1.0 - cache["h1"] ** 2)
-    d_w["block0"] = da1.T @ cache["x"]
-
+    nll, d_w = _backward(weights, _pair_counts(base.vocab, docs, max_seq_len))
     grads = {}
     for name, (a, b) in adapter.factors.items():
         dw = d_w[name]
@@ -316,14 +356,11 @@ def batch_nll(
 ) -> float:
     """Mean next-token NLL without gradients."""
     inputs, targets = _batch_pairs(base.vocab, docs, max_seq_len)
-    weights = _effective_weights(base, adapter)
-    logits, _ = _position_logits(base, weights, inputs)
-    probs = _softmax(logits)
-    return float(-np.log(probs[np.arange(len(inputs)), targets]).mean())
+    return float(-np.log(_prob_table(base, adapter)[inputs, targets]).mean())
 
 
-class _Adam:
-    """AdamW over a flat dict of float64 arrays."""
+class _AdamW:
+    """AdamW over a dict of float64 arrays; t counts the steps taken."""
 
     def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig) -> None:
         self.cfg = cfg
@@ -345,6 +382,63 @@ class _Adam:
             )
 
 
+def _minibatches(docs: list[str], cfg: TrainConfig) -> Iterator[list[str]]:
+    """cfg.epochs passes over docs in seeded shuffled batches of cfg.batch_size."""
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(docs))
+        for start in range(0, len(docs), cfg.batch_size):
+            yield [docs[i] for i in order[start : start + cfg.batch_size]]
+
+
+def _fit(
+    params: dict[str, np.ndarray],
+    batches: Iterable[list[str]],
+    loss_and_grad: Callable[[list[str]], tuple[float, dict[str, np.ndarray]]],
+    opt: _AdamW,
+) -> None:
+    """One AdamW step per batch on params, in place; stops on a non-finite loss."""
+    for batch in batches:
+        loss, grads = loss_and_grad(batch)
+        if not np.isfinite(loss):
+            raise ArithmeticError(f"diverged at step {opt.t}")
+        opt.step(params, grads)
+
+
+def _flat_factors(pairs: dict[str, tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
+    """{"<target>.A": A, "<target>.B": B} from {target: (A, B)}."""
+    return {f"{n}.{s}": arr for n, pair in pairs.items() for s, arr in zip("AB", pair)}
+
+
+def _lora_params(adapter: LoraAdapter) -> dict[str, np.ndarray]:
+    """Float64 working copy of the factors, keyed like _flat_factors."""
+    return {k: v.astype(np.float64) for k, v in _flat_factors(adapter.factors).items()}
+
+
+def _lora_from_params(template: LoraAdapter, params: dict[str, np.ndarray]) -> LoraAdapter:
+    """Float32 adapter with the template's targets, rank and alpha."""
+    return LoraAdapter(
+        factors={
+            n: (params[f"{n}.A"].astype(np.float32), params[f"{n}.B"].astype(np.float32))
+            for n in template.factors
+        },
+        rank=template.rank,
+        alpha=template.alpha,
+    )
+
+
+def _lora_loss(
+    base: BaseParams, template: LoraAdapter, params: dict[str, np.ndarray], max_seq_len: int
+) -> Callable[[list[str]], tuple[float, dict[str, np.ndarray]]]:
+    """Batch loss and flat factor gradients at the current params."""
+
+    def loss_and_grad(batch: list[str]) -> tuple[float, dict[str, np.ndarray]]:
+        loss, grads = nll_and_grad(base, _lora_from_params(template, params), batch, max_seq_len)
+        return loss, _flat_factors(grads)
+
+    return loss_and_grad
+
+
 def train_adapter(
     base: BaseParams,
     docs: list[str],
@@ -357,45 +451,10 @@ def train_adapter(
     if not docs:
         raise ValueError("docs must be non-empty")
     adapter = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed, targets=targets)
-    params: dict[str, np.ndarray] = {}
-    for name, (a, b) in adapter.factors.items():
-        params[f"{name}.A"] = a.astype(np.float64)
-        params[f"{name}.B"] = b.astype(np.float64)
-    opt = _Adam(params, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(docs))
-        for start in range(0, len(docs), cfg.batch_size):
-            batch = [docs[i] for i in order[start : start + cfg.batch_size]]
-            work = LoraAdapter(
-                factors={
-                    n: (
-                        params[f"{n}.A"].astype(np.float32),
-                        params[f"{n}.B"].astype(np.float32),
-                    )
-                    for n in adapter.factors
-                },
-                rank=rank,
-                alpha=alpha,
-            )
-            loss, grads = nll_and_grad(base, work, batch, cfg.max_seq_len)
-            if not np.isfinite(loss):
-                raise ArithmeticError(f"diverged at step {step}")
-            flat = {}
-            for name, (ga, gb) in grads.items():
-                flat[f"{name}.A"] = ga
-                flat[f"{name}.B"] = gb
-            opt.step(params, flat)
-            step += 1
-    return LoraAdapter(
-        factors={
-            n: (params[f"{n}.A"].astype(np.float32), params[f"{n}.B"].astype(np.float32))
-            for n in adapter.factors
-        },
-        rank=rank,
-        alpha=alpha,
-    )
+    params = _lora_params(adapter)
+    loss_and_grad = _lora_loss(base, adapter, params, cfg.max_seq_len)
+    _fit(params, _minibatches(docs, cfg), loss_and_grad, _AdamW(params, cfg))
+    return _lora_from_params(adapter, params)
 
 
 def train_base(
@@ -405,52 +464,13 @@ def train_base(
     if not docs:
         raise ValueError("docs must be non-empty")
     base = BaseParams.init_random(vocab, hidden, cfg.seed)
-    params = {
-        name: getattr(base, name).astype(np.float64)
-        for name in ("embed_table", "block0", "block1", "out_proj")
-    }
-    opt = _Adam(params, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(docs))
-        for start in range(0, len(docs), cfg.batch_size):
-            batch = [docs[i] for i in order[start : start + cfg.batch_size]]
-            inputs, targs = _batch_pairs(vocab, batch, cfg.max_seq_len)
-            x = params["embed_table"][inputs]
-            h1 = np.tanh(x @ params["block0"].T)
-            h2 = np.tanh(h1 @ params["block1"].T)
-            logits = h2 @ params["out_proj"].T
-            probs = _softmax(logits)
-            n = len(inputs)
-            loss = float(-np.log(probs[np.arange(n), targs]).mean())
-            if not np.isfinite(loss):
-                raise ArithmeticError(f"diverged at step {step}")
-            dlogits = probs
-            dlogits[np.arange(n), targs] -= 1.0
-            dlogits /= n
-            g_out = dlogits.T @ h2
-            dh2 = dlogits @ params["out_proj"]
-            da2 = dh2 * (1.0 - h2**2)
-            g_b1 = da2.T @ h1
-            dh1 = da2 @ params["block1"]
-            da1 = dh1 * (1.0 - h1**2)
-            g_b0 = da1.T @ x
-            dx = da1 @ params["block0"]
-            g_embed = np.zeros_like(params["embed_table"])
-            np.add.at(g_embed, inputs, dx)
-            opt.step(
-                params,
-                {"embed_table": g_embed, "block0": g_b0, "block1": g_b1, "out_proj": g_out},
-            )
-            step += 1
-    return BaseParams(
-        vocab=vocab,
-        embed_table=params["embed_table"].astype(np.float32),
-        block0=params["block0"].astype(np.float32),
-        block1=params["block1"].astype(np.float32),
-        out_proj=params["out_proj"].astype(np.float32),
-    )
+    params = {name: getattr(base, name).astype(np.float64) for name in DENSE_NAMES}
+
+    def loss_and_grad(batch: list[str]) -> tuple[float, dict[str, np.ndarray]]:
+        return _backward(params, _pair_counts(vocab, batch, cfg.max_seq_len))
+
+    _fit(params, _minibatches(docs, cfg), loss_and_grad, _AdamW(params, cfg))
+    return BaseParams(vocab=vocab, **{n: params[n].astype(np.float32) for n in DENSE_NAMES})
 
 
 def perplexity(
@@ -461,23 +481,8 @@ def perplexity(
     max_seq_len: int = 100_000,
 ) -> float:
     """exp(mean NLL) over all positions after the first eval_prefix_len."""
-    if not docs:
-        raise ValueError("docs must be non-empty")
-    weights = _effective_weights(base, adapter)
-    total = 0.0
-    count = 0
-    for doc in docs:
-        if len(doc) <= eval_prefix_len:
-            raise ValueError(
-                f"document shorter than eval prefix ({len(doc)} <= {eval_prefix_len}): {doc[:32]!r}"
-            )
-        inputs, targets = _doc_pairs(base.vocab, doc, max_seq_len)
-        logits, _ = _position_logits(base, weights, inputs[eval_prefix_len:])
-        probs = _softmax(logits)
-        scored = targets[eval_prefix_len:]
-        total += float(-np.log(probs[np.arange(len(scored)), scored]).sum())
-        count += len(scored)
-    return float(np.exp(total / count))
+    inputs, targets = _scored_pairs(base.vocab, docs, eval_prefix_len, max_seq_len)
+    return float(np.exp(-np.log(_prob_table(base, adapter)[inputs, targets]).mean()))
 
 
 def generate(
@@ -495,8 +500,8 @@ def generate(
     out = prompt
     token = base.vocab.index(prompt[-1]) if prompt else 0
     for _ in range(n_tokens):
-        logits, _ = _position_logits(base, weights, np.array([token]))
-        probs = _softmax(logits.astype(np.float64))[0]
+        logits, _ = _position_logits(weights, np.array([token]))
+        probs = _softmax(logits)[0]
         token = int(rng.choice(base.vocab.size, p=probs / probs.sum()))
         if token == 1:  # EOS
             break

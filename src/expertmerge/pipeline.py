@@ -52,8 +52,6 @@ def build_catalog(docs: list[str], cfg: RunConfig, out_dir: str | Path) -> Build
     train_set = set(split.train_idx.tolist())
     for k in range(assignment.K):
         members = [i for i in assignment.members(k) if i in train_set]
-        if not members:  # tiny cluster fully held out; train on the test doc's cluster mates
-            members = list(assignment.members(k))
         cluster_docs = [docs[i] for i in members]
         expert_cfg = dataclasses.replace(cfg.expert_train, seed=cfg.expert_train.seed + 7919 * k)
         adapter = lm.train_adapter(

@@ -1,10 +1,10 @@
 """Merging-coefficient computation from a prompt embedding.
 
-The main path is sparse cross-attention over expert centroids: cosine
-logits scaled by a temperature, a sparse softmax that prunes experts
-whose probability falls below a threshold, and renormalization of the
-survivors. Alternative weighting schemes (fixed top-n, uniform top-n,
-uncertainty-reduction, logit-entropy) live alongside it.
+Routing is sparse cross-attention over expert centroids: cosine logits
+scaled by a temperature, a sparse softmax that prunes experts whose
+probability falls below a threshold, and renormalization of the
+survivors. A fixed-n variant keeps the n nearest centroids instead of
+thresholding. rbf_weights states the equivalent RBF-kernel form.
 """
 
 from __future__ import annotations
@@ -14,17 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as lm
-
-WEIGHTING_MODES = ("cross_attention", "uniform_topn", "sift", "dawin")
-
 
 @dataclass(frozen=True)
 class RoutingConfig:
     beta: float = 0.05  # temperature; tuned by holdout grid search
     tau: float = 0.01  # sparsity threshold, must satisfy tau < 1/K
     fixed_n: int | None = None  # fixed number of active experts instead of tau
-    weighting: str = "cross_attention"
 
     def __post_init__(self) -> None:
         if self.beta <= 0:
@@ -33,20 +28,6 @@ class RoutingConfig:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.fixed_n is not None and self.fixed_n < 1:
             raise ValueError("fixed_n must be >= 1 when set")
-        if self.weighting not in WEIGHTING_MODES:
-            raise ValueError(f"unknown weighting {self.weighting!r}")
-
-
-@dataclass(frozen=True)
-class SiftConfig:
-    lam: float = 0.1  # posterior-variance regularizer
-    n_candidates: int = 10
-
-    def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
 
 
 @dataclass
@@ -139,74 +120,6 @@ def route_fixed_n(query: np.ndarray, catalog, n: int, beta: float) -> MergeWeigh
     ids = _top_n_ids(logits, n)
     p = _softmax(logits[ids])
     return MergeWeights(entries={int(k): float(w) for k, w in zip(ids, p)})
-
-
-def weights_uniform_topn(query: np.ndarray, catalog, n: int) -> MergeWeights:
-    """1/n on each of the n nearest centroids."""
-    logits = _cosine_logits(query, catalog)
-    ids = _top_n_ids(logits, n)
-    return MergeWeights(entries={int(k): 1.0 / n for k in ids})
-
-
-def weights_sift(query: np.ndarray, catalog, cfg: SiftConfig) -> MergeWeights:
-    """Uncertainty-reduction weights over the nearest centroids.
-
-    With unit-norm embeddings the prior variance is 1. After conditioning
-    on the i nearest centroids with a regularized kernel posterior
-    (linear kernel, regularizer lam), the remaining variance is
-    sigma_i^2 = 1 - k_i^T (K_i + lam*I)^{-1} k_i. Expert i gets the
-    normalized decrement sigma_{i-1}^2 - sigma_i^2, which downweighs
-    redundant (near-duplicate) centroids.
-    """
-    centroids = catalog.centroid_matrix().astype(np.float64)
-    K = len(centroids)
-    if cfg.n_candidates > K:
-        raise ValueError(f"n_candidates {cfg.n_candidates} > number of experts {K}")
-    logits = _cosine_logits(query, catalog)
-    ids = _top_n_ids(logits, cfg.n_candidates)
-    q = np.asarray(query, dtype=np.float64)
-    variances = [1.0]
-    for i in range(1, len(ids) + 1):
-        sel = centroids[ids[:i]]
-        gram = sel @ sel.T + cfg.lam * np.eye(i)
-        k_q = sel @ q
-        variances.append(float(1.0 - k_q @ np.linalg.solve(gram, k_q)))
-    total = variances[0] - variances[-1]
-    if total <= 0:
-        raise ValueError("no uncertainty reduction")
-    entries = {}
-    for pos, expert in enumerate(ids):
-        w = (variances[pos] - variances[pos + 1]) / total
-        if w > 0:
-            entries[int(expert)] = entries.get(int(expert), 0.0) + float(w)
-    return MergeWeights(entries=entries)
-
-
-def entropy(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=np.float64)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def weights_dawin(
-    prompt: str,
-    catalog,
-    base: lm.BaseParams,
-    adapters: dict[int, lm.LoraAdapter],
-    beta: float,
-    tau: float,
-) -> MergeWeights:
-    """Entropy-based weights: one forward pass per expert on the prompt's
-    final position, then sparse softmax over negated entropies. Expensive:
-    costs K model evaluations."""
-    K = catalog.centroid_matrix().shape[0]
-    logits = np.empty(K, dtype=np.float64)
-    for k in range(K):
-        if k not in adapters:
-            raise KeyError(f"missing adapter for expert {k}")
-        probs = lm.forward(base, adapters[k], prompt)
-        logits[k] = -entropy(probs) / beta
-    return sparse_softmax(logits, tau)
 
 
 def rbf_weights(query: np.ndarray, centroids: np.ndarray, beta: float) -> np.ndarray:

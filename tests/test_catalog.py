@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expertmerge import catalog as cat
 from expertmerge import model as lm
@@ -65,6 +69,51 @@ def test_wrong_fingerprint_rejected(tmp_path, adapter, fingerprint):
     other = bytes(32)
     with pytest.raises(ValueError, match="different base"):
         cat.load_adapter(path, other)
+
+
+def test_trailing_bytes_rejected(tmp_path, adapter, fingerprint):
+    path = tmp_path / "e.adapter"
+    cat.save_adapter(adapter, path, fingerprint)
+    payload = path.read_bytes()[:-8] + b"\x00"
+    path.write_bytes(payload + struct.pack("<Q", cat._checksum64(payload)))
+    with pytest.raises(ValueError, match="trailing bytes"):
+        cat.load_adapter(path)
+
+
+def _matrix_record(name, dims, alpha, data, name_len):
+    length = len(name) if name_len is None else name_len
+    return struct.pack("<I", length) + name + struct.pack("<IIIf", *dims, alpha) + data
+
+
+_u32 = st.integers(0, 2**32 - 1)
+_dim = st.integers(0, 4) | _u32
+_matrix = st.builds(
+    _matrix_record,
+    st.binary(max_size=6),
+    st.tuples(_dim, _dim, _dim),
+    st.floats(width=32),
+    st.binary(max_size=96),
+    st.none() | _u32,
+)
+_body = st.binary(max_size=256) | st.builds(
+    lambda count, records, tail: struct.pack("<I", count) + b"".join(records) + tail,
+    st.integers(0, 3) | _u32,
+    st.lists(_matrix, max_size=3),
+    st.binary(max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(body=_body)
+def test_malformed_body_raises_value_error(tmp_path_factory, body):
+    # valid magic, version and checksum around arbitrary matrix bytes
+    payload = cat.MAGIC + struct.pack("<H", cat.FORMAT_VERSION) + bytes(32) + body
+    path = tmp_path_factory.getbasetemp() / "fuzz.adapter"
+    path.write_bytes(payload + struct.pack("<Q", cat._checksum64(payload)))
+    try:
+        cat.load_adapter(path)
+    except ValueError:
+        pass
 
 
 def build_catalog_dir(tmp_path, base, n_experts, docs):

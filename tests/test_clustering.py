@@ -2,9 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_unit_vectors
 from expertmerge.clustering import (
+    MIN_CLUSTER_SIZE,
     ClusterAssignment,
     bisecting_kmeans,
     cluster_diameter,
@@ -184,3 +188,43 @@ def test_splits_never_increase_loss():
 def test_assignment_validation():
     with pytest.raises(ValueError, match="no members"):
         ClusterAssignment(labels=np.array([0, 0]), K=2)
+
+
+def test_seed15_corpus_clusters_reach_minimum():
+    # at this corpus seed the widest cluster's 2-means split once cut a
+    # single outlier document off, which left nothing to hold out
+    from expertmerge.config import RunConfig
+    from expertmerge.corpus import generate_corpus
+    from expertmerge.embedding import embed_corpus
+
+    cfg = RunConfig().with_overrides({"corpus.seed": 15})
+    docs, _, _ = generate_corpus(cfg.corpus)
+    a = bisecting_kmeans(embed_corpus(cfg.embedder, docs), cfg.n_clusters, cfg.seed)
+    assert a.K == cfg.n_clusters
+    assert np.bincount(a.labels).min() >= MIN_CLUSTER_SIZE
+
+
+def test_lone_outlier_not_cut_off():
+    # the only 2-means split of the five points cuts the outlier off; the
+    # cut moves so that the outlier keeps its nearest neighbour
+    x = np.array([[0.0], [0.1], [0.2], [0.3], [10.0]])
+    a = bisecting_kmeans(x, 2, 0)
+    assert sorted(np.bincount(a.labels).tolist()) == [2, 3]
+    assert a.labels[3] == a.labels[4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.integers(2, 24).flatmap(
+        lambda n: arrays(
+            np.float64, (n, 2), elements=st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0, 40.0])
+        )
+    ),
+    data=st.data(),
+)
+def test_min_cluster_size_property(x, data):
+    K = data.draw(st.integers(1, len(x) // MIN_CLUSTER_SIZE))
+    seed = data.draw(st.integers(0, 3))
+    a = bisecting_kmeans(x, K, seed)
+    assert a.K == K
+    assert np.bincount(a.labels, minlength=K).min() >= MIN_CLUSTER_SIZE

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from expertmerge.config import EvalProtocol, RunConfig
+from expertmerge.routing import RoutingConfig
 
 
 def test_yaml_roundtrip(tmp_path):
@@ -38,3 +41,37 @@ def test_empty_yaml_gives_defaults(tmp_path):
     path = tmp_path / "empty.yaml"
     path.write_text("")
     assert RunConfig.load(path) == RunConfig()
+
+
+LEGACY_CONFIG = Path(__file__).parent / "data" / "config_with_sift.yaml"
+
+
+def test_legacy_config_keys_ignored():
+    # catalogs built before the sift option was removed keep loading
+    assert RunConfig.load(LEGACY_CONFIG) == RunConfig()
+
+
+def test_unknown_config_key_rejected(tmp_path):
+    text = LEGACY_CONFIG.read_text()
+    for bad in (
+        text + "gamma: 1\n",
+        text.replace("  weighting: cross_attention\n", "  weightings: cross_attention\n"),
+        text.replace("sift:\n", "sifted:\n"),
+    ):
+        path = tmp_path / "bad.yaml"
+        path.write_text(bad)
+        with pytest.raises(ValueError, match="bad config"):
+            RunConfig.load(path)
+
+
+def test_tau_checked_against_n_clusters():
+    # with K=128 the default tau 0.01 exceeds 1/K: every prompt would fail routing
+    with pytest.raises(ValueError, match="routing.tau"):
+        RunConfig(n_clusters=128)
+    with pytest.raises(ValueError, match="routing.tau"):
+        RunConfig().with_overrides({"n_clusters": 100})
+    with pytest.raises(ValueError, match="n_clusters"):
+        RunConfig(n_clusters=0)
+    assert RunConfig(n_clusters=99).n_clusters == 99
+    fixed = RunConfig(n_clusters=128, routing=RoutingConfig(fixed_n=3))
+    assert fixed.routing.fixed_n == 3

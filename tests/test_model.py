@@ -258,3 +258,137 @@ def test_train_base_learns(tiny_vocab):
     base = lm.train_base(tiny_vocab, docs, cfg, hidden=8)
     random_base = lm.BaseParams.init_random(tiny_vocab, hidden=8, seed=0)
     assert lm.perplexity(base, None, docs) < lm.perplexity(random_base, None, docs)
+
+
+# Per-token reference implementation: one model evaluation per scored
+# position, with the whole prefix passed to lm.forward. The library scores
+# through a (V, V) table and trains on (input, target) pair counts, which
+# is exact only while the next-token distribution depends on the last
+# token alone; if the model ever reads more context, these tests fail.
+
+
+def random_model(seed: int):
+    vocab = lm.Vocab.from_corpus(["abcdef"])
+    base = lm.BaseParams.init_random(vocab, hidden=5, seed=seed, scale=0.5)
+    adapter = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, (a, b) in adapter.factors.items():
+        adapter.factors[name] = (
+            (rng.standard_normal(a.shape) * 0.3).astype(np.float32),
+            (rng.standard_normal(b.shape) * 0.3).astype(np.float32),
+        )
+    docs = [
+        "".join(rng.choice(list("abcdef"), size=int(rng.integers(1, 25))))
+        for _ in range(int(rng.integers(1, 6)))
+    ]
+    return base, adapter, docs
+
+
+def reference_log_probs(base, adapter, doc, eval_prefix_len=0, max_seq_len=100_000):
+    """log p(target) at every scored position, one forward call each."""
+    text = doc[:max_seq_len]
+    targets = [base.vocab.index(ch) for ch in text] + [1]  # EOS last
+    return [
+        float(np.log(lm.forward(base, adapter, text[:t])[targets[t]]))
+        for t in range(eval_prefix_len, len(targets))
+    ]
+
+
+def reference_dense_grads(base, adapter, docs, max_seq_len=256):
+    """Mean NLL and dense-weight gradients with one backward row per token."""
+    weights = {n: getattr(base, n).astype(np.float64) for n in lm.DENSE_NAMES}
+    for name in adapter.factors:
+        weights[name] = weights[name] + adapter.delta(name)
+    inputs, targets = [], []
+    for doc in docs:
+        ids = base.vocab.encode(doc[:max_seq_len]).tolist()
+        inputs += [0] + ids
+        targets += ids + [1]
+    n = len(inputs)
+    x = weights["embed_table"][inputs]
+    h1 = np.tanh(x @ weights["block0"].T)
+    h2 = np.tanh(h1 @ weights["block1"].T)
+    logits = h2 @ weights["out_proj"].T
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    nll = float(-np.log(probs[np.arange(n), targets]).mean())
+    dlogits = probs.copy()
+    dlogits[np.arange(n), targets] -= 1.0
+    dlogits /= n
+    grads = {"out_proj": dlogits.T @ h2}
+    da2 = (dlogits @ weights["out_proj"]) * (1.0 - h2**2)
+    grads["block1"] = da2.T @ h1
+    da1 = (da2 @ weights["block1"]) * (1.0 - h1**2)
+    grads["block0"] = da1.T @ x
+    grads["embed_table"] = np.zeros_like(weights["embed_table"])
+    np.add.at(grads["embed_table"], inputs, da1 @ weights["block0"])
+    return nll, grads
+
+
+def rel_err(got, ref) -> float:
+    return float(np.linalg.norm(np.asarray(got) - ref) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("eval_prefix_len", [0, 3])
+def test_perplexity_matches_per_token_reference(seed, eval_prefix_len):
+    base, adapter, docs = random_model(seed)
+    docs = [doc + "abcd" for doc in docs]  # longer than the prefix
+    for model_adapter in (None, adapter):
+        logs = [
+            lp
+            for doc in docs
+            for lp in reference_log_probs(base, model_adapter, doc, eval_prefix_len)
+        ]
+        expected = float(np.exp(-np.mean(logs)))
+        got = lm.perplexity(base, model_adapter, docs, eval_prefix_len)
+        assert got == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nll_and_grad_match_per_token_reference(seed):
+    base, adapter, docs = random_model(seed)
+    max_seq_len = 12  # truncation applies to longer documents
+    nll, grads = lm.nll_and_grad(base, adapter, docs, max_seq_len)
+    ref_nll, ref_dense = reference_dense_grads(base, adapter, docs, max_seq_len)
+    logs = [lp for doc in docs for lp in reference_log_probs(base, adapter, doc, 0, max_seq_len)]
+    assert nll == pytest.approx(ref_nll, rel=1e-10)
+    assert nll == pytest.approx(-np.mean(logs), rel=1e-10)
+    assert lm.batch_nll(base, adapter, docs, max_seq_len) == pytest.approx(ref_nll, rel=1e-10)
+    for name, (a, b) in adapter.factors.items():
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        ga, gb = grads[name]
+        assert rel_err(ga, adapter.scale * (b64.T @ ref_dense[name])) <= 1e-10
+        assert rel_err(gb, adapter.scale * (ref_dense[name] @ a64.T)) <= 1e-10
+    # the same backward trains the base, embedding included
+    weights = lm._effective_weights(base, adapter)
+    counts = lm._pair_counts(base.vocab, docs, max_seq_len)
+    dense_nll, dense = lm._backward(weights, counts)
+    assert dense_nll == pytest.approx(ref_nll, rel=1e-10)
+    for name in lm.DENSE_NAMES:
+        assert rel_err(dense[name], ref_dense[name]) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ensemble_perplexity_matches_per_token_reference(seed):
+    from expertmerge.evaluation import ensemble_perplexity
+    from expertmerge.routing import MergeWeights
+
+    base, _, docs = random_model(seed)
+    docs = [doc + "fedc" for doc in docs]
+    adapters = {k: random_model(100 * seed + k)[1] for k in range(3)}
+    weights = MergeWeights(entries={0: 0.5, 2: 0.3, 1: 0.2})
+    for eval_prefix_len in (0, 2):
+        logs = []
+        for doc in docs:
+            text = doc
+            targets = [base.vocab.index(ch) for ch in text] + [1]
+            for t in range(eval_prefix_len, len(targets)):
+                mix = sum(
+                    w * lm.forward(base, adapters[k], text[:t])
+                    for k, w in weights.entries.items()
+                )
+                logs.append(np.log(mix[targets[t]]))
+        expected = float(np.exp(-np.mean(logs)))
+        got = ensemble_perplexity(base, weights, adapters, docs, eval_prefix_len)
+        assert got == pytest.approx(expected, rel=1e-10)

@@ -76,7 +76,7 @@ def test_build_deterministic(tiny_corpus, tmp_path):
 
 
 def test_build_k_too_large(tmp_path):
-    cfg = dataclasses.replace(tiny_run_config(), n_clusters=100)
+    cfg = dataclasses.replace(tiny_run_config(), n_clusters=50)
     docs, _, _ = generate_corpus(cfg.corpus)
     with pytest.raises(ValueError, match="K > n"):
         pipeline.build_catalog(docs, cfg, tmp_path)

@@ -4,19 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FakeCatalog, random_unit_vectors
-from expertmerge import model as lm
 from expertmerge.routing import (
     MergeWeights,
     RoutingConfig,
-    SiftConfig,
     rbf_weights,
     route,
     route_batch,
     route_fixed_n,
     sparse_softmax,
-    weights_dawin,
-    weights_sift,
-    weights_uniform_topn,
 )
 
 
@@ -178,87 +173,6 @@ def test_route_fixed_n_brute_force():
         assert w.entries[k] == pytest.approx(e, rel=1e-10)
 
 
-def test_uniform_topn():
-    centroids = random_unit_vectors(8, 10, 13)
-    q = random_unit_vectors(1, 10, 14)[0]
-    catalog = FakeCatalog(centroids)
-    w1 = weights_uniform_topn(q, catalog, 1)
-    assert list(w1.entries.values()) == [1.0]
-    w4 = weights_uniform_topn(q, catalog, 4)
-    assert all(v == pytest.approx(0.25) for v in w4.entries.values())
-    fixed = route_fixed_n(q, catalog, 4, beta=0.05)
-    assert set(w4.entries) == set(fixed.entries)
-    with pytest.raises(ValueError):
-        weights_uniform_topn(q, catalog, 9)
-
-
-def test_sift_single_candidate():
-    centroids = random_unit_vectors(5, 10, 15)
-    q = random_unit_vectors(1, 10, 16)[0]
-    w = weights_sift(q, FakeCatalog(centroids), SiftConfig(lam=0.1, n_candidates=1))
-    assert w.n_active == 1
-    assert sum(w.entries.values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_sift_sums_to_one():
-    centroids = random_unit_vectors(9, 12, 17)
-    q = random_unit_vectors(1, 12, 18)[0]
-    w = weights_sift(q, FakeCatalog(centroids), SiftConfig(lam=0.5, n_candidates=6))
-    assert sum(w.entries.values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_sift_downweighs_duplicates():
-    base_centroids = random_unit_vectors(5, 12, 19)
-    q = (0.8 * base_centroids[0] + 0.2 * base_centroids[1]).astype(np.float64)
-    q /= np.linalg.norm(q)
-    lam = 0.01
-    # duplicate centroid 0 and compare its combined weight to the
-    # weight it gets in the de-duplicated catalog
-    dup = np.concatenate([base_centroids, base_centroids[:1]])
-    w_dup = weights_sift(q, FakeCatalog(dup), SiftConfig(lam=lam, n_candidates=6))
-    w_ref = weights_sift(q, FakeCatalog(base_centroids), SiftConfig(lam=lam, n_candidates=5))
-    combined = w_dup.entries.get(0, 0.0) + w_dup.entries.get(5, 0.0)
-    assert combined == pytest.approx(w_ref.entries[0], rel=0.05)
-
-
-def test_sift_no_reduction_error():
-    centroids = np.zeros((2, 4), dtype=np.float32)
-    centroids[0, 0] = 1.0
-    centroids[1, 1] = 1.0
-    q = np.zeros(4, dtype=np.float32)
-    q[2] = 1.0  # orthogonal to every candidate
-    with pytest.raises(ValueError, match="no uncertainty reduction"):
-        weights_sift(q, FakeCatalog(centroids), SiftConfig(lam=0.1, n_candidates=2))
-
-
-def test_dawin_identical_experts_uniform(small_base):
-    adapters = {k: lm.LoraAdapter.init(small_base, rank=2, seed=1) for k in range(4)}
-    centroids = random_unit_vectors(4, 8, 20)
-    w = weights_dawin("ab", FakeCatalog(centroids), small_base, adapters, beta=0.1, tau=0.0)
-    for k in range(4):
-        assert w.entries[k] == pytest.approx(0.25, abs=1e-9)
-
-
-def test_dawin_prefers_low_entropy_expert(small_base):
-    vocab = small_base.vocab
-    adapters = {k: lm.LoraAdapter.init(small_base, rank=2, seed=1) for k in range(3)}
-    # expert 1 gets a near-deterministic output head: huge delta toward 'a'
-    a = np.ones((1, small_base.hidden), dtype=np.float32)
-    b = np.full((vocab.size, 1), -50.0, dtype=np.float32)
-    b[vocab.index("a"), 0] = 50.0
-    adapters[1] = lm.LoraAdapter(factors={"out_proj": (a, b)}, rank=1, alpha=1.0)
-    centroids = random_unit_vectors(3, 8, 21)
-    w = weights_dawin("ab", FakeCatalog(centroids), small_base, adapters, beta=1e-3, tau=0.0)
-    assert w.entries[1] > 0.99
-    assert sum(w.entries.values()) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_dawin_missing_adapter(small_base):
-    centroids = random_unit_vectors(2, 8, 22)
-    with pytest.raises(KeyError, match="missing adapter"):
-        weights_dawin("ab", FakeCatalog(centroids), small_base, {0: None}, 0.1, 0.0)
-
-
 def test_rbf_equivalence():
     rng = np.random.default_rng(23)
     for beta in (0.01, 0.1, 1.0):
@@ -285,7 +199,3 @@ def test_routing_config_validation():
         RoutingConfig(beta=0.0)
     with pytest.raises(ValueError):
         RoutingConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        RoutingConfig(weighting="magic")
-    with pytest.raises(ValueError):
-        SiftConfig(lam=0.0)
