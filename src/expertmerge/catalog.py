@@ -63,8 +63,12 @@ def save_adapter(adapter: lm.LoraAdapter, path: str | Path, base_fingerprint: by
     return len(blob)
 
 
-def load_adapter(path: str | Path, base_fingerprint: bytes | None = None) -> lm.LoraAdapter:
-    """Read an adapter, verifying the checksum and optional fingerprint."""
+def load_adapter(
+    path: str | Path, base_fingerprint: bytes | None = None, checksum: str | None = None
+) -> lm.LoraAdapter:
+    """Read an adapter and verify its checksum; if given, also verify the
+    base fingerprint and that the checksum equals `checksum`, the hex value
+    the adapter's manifest record stores."""
     global ADAPTER_READS
     blob = Path(path).read_bytes()
     ADAPTER_READS += 1
@@ -73,6 +77,8 @@ def load_adapter(path: str | Path, base_fingerprint: bytes | None = None) -> lm.
     payload, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
     if _checksum64(payload) != stored:
         raise ValueError(f"corrupt adapter: {path} (checksum mismatch)")
+    if checksum is not None and blob[-8:].hex() != checksum:
+        raise ValueError(f"adapter {path} does not match its manifest checksum {checksum}")
     off = 0
     if payload[:4] != MAGIC:
         raise ValueError(f"corrupt adapter: {path} (bad magic)")
@@ -285,8 +291,9 @@ def load_active(
         path = catalog.adapter_file(k)
         if not path.exists():
             raise FileNotFoundError(f"adapter file missing for expert {k}: {path}")
-        adapters[k] = load_adapter(path, catalog.base_fingerprint)
-        report.bytes_loaded += catalog.records[k].byte_size
+        record = catalog.records[k]
+        adapters[k] = load_adapter(path, catalog.base_fingerprint, record.checksum)
+        report.bytes_loaded += record.byte_size
     report.load_duration = time.monotonic() - start
     return adapters, report
 

@@ -132,7 +132,6 @@ def bench_csv(rows: list[dict]) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    docs = read_corpus(args.corpus) if args.corpus else None
     catalog_dir = Path(args.catalog)
     cfg = RunConfig.load(catalog_dir / "config.yaml")
     cat = store.load_catalog(catalog_dir)
@@ -147,7 +146,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         text = lm.generate(merging.apply_merged(base, merged), None, args.prompt, args.n_tokens, args.seed)
     elif args.method.startswith("expert-"):
         k = int(args.method.split("-", 1)[1])
-        adapter = store.load_adapter(cat.adapter_file(k), cat.base_fingerprint)
+        adapter = store.load_adapter(
+            cat.adapter_file(k), cat.base_fingerprint, cat.records[k].checksum
+        )
         text = lm.generate(base, adapter, args.prompt, args.n_tokens, args.seed)
     else:
         raise SystemExit(f"unknown method {args.method!r}")
@@ -248,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate text with base/merged/expert model")
     p.add_argument("catalog")
     p.add_argument("prompt")
-    p.add_argument("--corpus")
     p.add_argument("--n-tokens", type=int, default=100)
     p.add_argument("--method", default="merged", help="base | merged | expert-<id>")
     p.add_argument("--seed", type=int, default=0)

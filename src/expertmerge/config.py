@@ -55,7 +55,6 @@ class RunConfig:
     base_pretrain_fraction: float = 0.35  # share of train docs used to pre-train the base
     ttt_neighbors: int = 100
     ttt_learning_rate: float = 2e-3
-    ttt_epochs: int = 1  # >1 enables multi-pass adaptation with checkpoint selection
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
     base_train: TrainConfig = field(default_factory=lambda: _desk_train(0, 5e-3, 1))
@@ -103,6 +102,10 @@ class RunConfig:
         try:
             for key, value in data.items():
                 if key == "sift":  # removed routing option; older catalogs' configs carry it
+                    continue
+                if key == "ttt_epochs":  # removed; older configs carry the one value used
+                    if value != 1:
+                        raise ValueError(f"ttt_epochs={value!r}: TTT makes exactly one pass")
                     continue
                 if key in cls._NESTED:
                     sub = dict(value)

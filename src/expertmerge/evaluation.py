@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embedding, merging, model as lm, routing
-from .catalog import ExpertCatalog, LatencyReport, load_active, timed_route_merge
+from .catalog import ExpertCatalog, load_active, timed_route_merge
 from .clustering import MIN_CLUSTER_SIZE, ClusterAssignment
 from .config import EvalProtocol, RunConfig
 from .routing import MergeWeights, RoutingConfig
@@ -71,14 +71,9 @@ def ttt_adapt(
     cfg: lm.TrainConfig,
     rank: int,
     alpha: float,
-    epochs: int = 1,
 ) -> lm.LoraAdapter:
-    """Adapt to a prompt: one gradient step per nearest neighbor.
-
-    Neighbors are visited most to least similar. With epochs > 1 the
-    pass is repeated and the end-of-epoch checkpoint with the lowest
-    neighbor NLL is returned.
-    """
+    """Adapt to a prompt: one gradient step per nearest neighbor, visited
+    once from most to least similar."""
     if N > len(corpus_docs):
         raise ValueError(f"N={N} exceeds corpus size {len(corpus_docs)}")
     sims = corpus_embeddings.astype(np.float64) @ np.asarray(query, dtype=np.float64)
@@ -88,17 +83,8 @@ def ttt_adapt(
     adapter = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
     params = lm._lora_params(adapter)
     loss_and_grad = lm._lora_loss(base, adapter, params, cfg.max_seq_len)
-    opt = lm._AdamW(params, cfg)
-    best: lm.LoraAdapter | None = None
-    best_nll = np.inf
-    for _ in range(epochs):
-        lm._fit(params, ([doc] for doc in neighbors), loss_and_grad, opt)
-        if epochs > 1:
-            checkpoint = lm._lora_from_params(adapter, params)
-            nll = lm.batch_nll(base, checkpoint, neighbors, cfg.max_seq_len)
-            if nll < best_nll:
-                best, best_nll = checkpoint, nll
-    return best if best is not None else lm._lora_from_params(adapter, params)
+    lm._fit(params, ([doc] for doc in neighbors), loss_and_grad, lm._AdamW(params, cfg))
+    return lm._lora_from_params(adapter, params)
 
 
 def expert_cluster_matrix(
@@ -109,11 +95,11 @@ def expert_cluster_matrix(
 ) -> np.ndarray:
     """Entry (k, j): perplexity of expert k on cluster j's holdout docs."""
     K = len(adapters)
-    matrix = np.empty((K, K), dtype=np.float64)
-    for k in range(K):
-        for j in range(K):
-            matrix[k, j] = lm.perplexity(base, adapters[k], holdout_docs[j], eval_prefix_len)
-    return matrix
+    tables = [lm._prob_table(base, adapters[k]) for k in range(K)]
+    counts = [
+        lm._scored_counts(base.vocab, holdout_docs[j], eval_prefix_len, 100_000) for j in range(K)
+    ]
+    return np.exp([[lm._nll(table, c) for c in counts] for table in tables])
 
 
 def pass_at_n(
@@ -202,21 +188,6 @@ def _full_batch_gd(
     return lm._lora_from_params(init, params)
 
 
-def _flat_grad(base: lm.BaseParams, adapter: lm.LoraAdapter, doc: str) -> np.ndarray:
-    _, grads = lm.nll_and_grad(base, adapter, [doc])
-    return np.concatenate([g.ravel() for name in sorted(grads) for g in grads[name]])
-
-
-def _flat_params(adapter: lm.LoraAdapter) -> np.ndarray:
-    return np.concatenate(
-        [
-            arr.astype(np.float64).ravel()
-            for name in sorted(adapter.factors)
-            for arr in adapter.factors[name]
-        ]
-    )
-
-
 def _embedding_diameter(embs: np.ndarray) -> float:
     if len(embs) <= 1:
         return 0.0
@@ -268,8 +239,12 @@ def proposition_probe(
     if probe.G_hat is not None:
         g_hat = probe.G_hat
     else:
-        grads_nn = [_flat_grad(base, init, d) for d in nn_docs]
-        grads_other = [_flat_grad(base, init, d) for d in other_docs]
+        def flat_grad(doc: str) -> np.ndarray:
+            _, grads = lm.nll_and_grad(base, init, [doc])
+            return np.concatenate([g.ravel() for g in lm._flat_factors(grads).values()])
+
+        grads_nn = [flat_grad(d) for d in nn_docs]
+        grads_other = [flat_grad(d) for d in other_docs]
         ratio = 0.0
         for i, gi in zip(nn_idx, grads_nn):
             for j, gj in zip(other_idx, grads_other):
@@ -287,20 +262,19 @@ def proposition_probe(
         l_hat = probe.L_hat
     else:
         rng = np.random.default_rng(seed)
-        theta0 = _flat_params(theta_nn)
+        params0 = lm._lora_params(theta_nn)
+        theta0 = np.concatenate([arr.ravel() for arr in params0.values()])
+        splits = np.cumsum([arr.size for arr in params0.values()])[:-1]
         ratio = 0.0
         for _ in range(8):
             direction = rng.standard_normal(theta0.size)
             direction /= np.linalg.norm(direction)
             eps = 1e-4
-            perturbed = theta0 + eps * direction
-            params: dict[str, np.ndarray] = {}
-            off = 0
-            for name in sorted(theta_nn.factors):
-                for suffix, ref in zip(("A", "B"), theta_nn.factors[name]):
-                    size = ref.size
-                    params[f"{name}.{suffix}"] = perturbed[off : off + size].reshape(ref.shape)
-                    off += size
+            perturbed = np.split(theta0 + eps * direction, splits)
+            params = {
+                key: piece.reshape(arr.shape)
+                for (key, arr), piece in zip(params0.items(), perturbed)
+            }
             p1 = lm.forward(base, lm._lora_from_params(theta_nn, params), prompt)
             ratio = max(
                 ratio,
@@ -328,9 +302,9 @@ def ensemble_perplexity(
     eval_prefix_len: int = 0,
 ) -> float:
     """Perplexity of the weighted mixture of per-expert distributions."""
-    inputs, targets = lm._scored_pairs(base.vocab, docs, eval_prefix_len, 100_000)
+    counts = lm._scored_counts(base.vocab, docs, eval_prefix_len, 100_000)
     mix = sum(weights.entries[k] * lm._prob_table(base, adapters[k]) for k in weights.support)
-    return float(np.exp(-np.log(mix[inputs, targets]).mean()))
+    return float(np.exp(lm._nll(mix, counts)))
 
 
 DEFAULT_METHODS = (
@@ -352,7 +326,6 @@ class EvalReport:
     matrix: np.ndarray | None = None
     diagonal_rowmin_fraction: float | None = None
     pass_at_n: list[tuple[int, float]] = field(default_factory=list)
-    latency: dict[str, LatencyReport] = field(default_factory=dict)
     config_echo: str = ""
 
     def to_text(self) -> str:
@@ -369,14 +342,6 @@ class EvalReport:
             out.write("pass@N\n")
             for n, acc in self.pass_at_n:
                 out.write(f"  {n}: {acc:.4f}\n")
-        if self.latency:
-            out.write("latency (seconds)\n")
-            for method, rep in self.latency.items():
-                out.write(
-                    f"  {method}: select={rep.select_duration:.6f} "
-                    f"load={rep.load_duration:.6f} merge={rep.merge_duration:.6f} "
-                    f"n_active={rep.n_active} bytes={rep.bytes_loaded}\n"
-                )
         if self.config_echo:
             out.write("config\n")
             for line in self.config_echo.splitlines():
@@ -406,7 +371,7 @@ def run_table1(
     max_holdout_docs: int = 8,
 ) -> EvalReport:
     """Perplexity of every requested method on the per-cluster test set,
-    plus routing diagnostics and a latency sample."""
+    plus routing diagnostics."""
     unknown = set(methods) - set(DEFAULT_METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -443,11 +408,9 @@ def run_table1(
     def merged_ppl(route_cfg: RoutingConfig, label: str) -> None:
         ppls = []
         for (k, i), query in zip(test_pairs, queries):
-            merged, latency = timed_route_merge(catalog, query, route_cfg)
+            merged, _ = timed_route_merge(catalog, query, route_cfg)
             adapted = merging.apply_merged(base, merged)
             ppls.append(lm.perplexity(adapted, None, [docs[i]], epl))
-            if label not in report.latency:
-                report.latency[label] = latency
         report.perplexities[label] = per_doc_mean(ppls)
 
     def ensemble_ppl(n: int, label: str) -> None:
@@ -488,7 +451,6 @@ def run_table1(
                 ttt_cfg,
                 cfg.lora_rank,
                 cfg.lora_alpha,
-                epochs=cfg.ttt_epochs,
             )
             ppls.append(lm.perplexity(base, adapter, [docs[i]], epl))
         report.perplexities["ttt"] = per_doc_mean(ppls)

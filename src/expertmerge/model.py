@@ -143,8 +143,8 @@ class LoraAdapter:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         fixed = {}
         for name, (a, b) in self.factors.items():
             if a.shape[0] != self.rank or b.shape[1] != self.rank:
@@ -153,6 +153,10 @@ class LoraAdapter:
                 np.ascontiguousarray(a, dtype=np.float32),
                 np.ascontiguousarray(b, dtype=np.float32),
             )
+        # one check over all factors: loading runs it for every active expert
+        flat = [x.ravel() for pair in fixed.values() for x in pair]
+        if flat and not np.isfinite(np.concatenate(flat)).all():
+            raise ValueError("non-finite entries in adapter factors")
         self.factors = fixed
 
     @property
@@ -267,23 +271,25 @@ def forward(
     return _softmax(logits)[0]
 
 
-def _batch_pairs(
+def _pair_counts(
     vocab: Vocab, docs: list[str], max_seq_len: int, eval_prefix_len: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """(input, target) token pairs of every next-token prediction after the
-    first eval_prefix_len of each doc; BOS comes first and EOS last."""
-    inputs, targets = [], []
+) -> np.ndarray:
+    """(V, V) count of each (input, target) pair over the docs, skipping the
+    first eval_prefix_len predictions of each; BOS is the first input and EOS
+    the last target."""
+    v = vocab.size
+    keys = []
     for doc in docs:
         ids = vocab.encode(doc[:max_seq_len])
-        inputs.append(np.concatenate(([0], ids))[eval_prefix_len:])
-        targets.append(np.concatenate((ids, [1]))[eval_prefix_len:])
-    return np.concatenate(inputs), np.concatenate(targets)
+        pairs = np.concatenate(([0], ids)) * v + np.concatenate((ids, [1]))
+        keys.append(pairs[eval_prefix_len:])
+    return np.bincount(np.concatenate(keys), minlength=v * v).reshape(v, v).astype(np.float64)
 
 
-def _scored_pairs(
+def _scored_counts(
     vocab: Vocab, docs: list[str], eval_prefix_len: int, max_seq_len: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """_batch_pairs for scoring: every doc must extend past the prefix."""
+) -> np.ndarray:
+    """_pair_counts for scoring: every doc must extend past the prefix."""
     if not docs:
         raise ValueError("docs must be non-empty")
     for doc in docs:
@@ -291,14 +297,14 @@ def _scored_pairs(
             raise ValueError(
                 f"document shorter than eval prefix ({len(doc)} <= {eval_prefix_len}): {doc[:32]!r}"
             )
-    return _batch_pairs(vocab, docs, max_seq_len, eval_prefix_len)
+    return _pair_counts(vocab, docs, max_seq_len, eval_prefix_len)
 
 
-def _pair_counts(vocab: Vocab, docs: list[str], max_seq_len: int) -> np.ndarray:
-    """(V, V) count of each (input, target) pair over the batch."""
-    inputs, targets = _batch_pairs(vocab, docs, max_seq_len)
-    v = vocab.size
-    return np.bincount(inputs * v + targets, minlength=v * v).reshape(v, v).astype(np.float64)
+def _nll(table: np.ndarray, counts: np.ndarray) -> float:
+    """Mean NLL of the counted (input, target) pairs; row i of table is the
+    next-token distribution of counts' row i."""
+    seen = counts > 0
+    return float(-(counts[seen] * np.log(table[seen])).sum() / counts.sum())
 
 
 def _backward(
@@ -314,8 +320,7 @@ def _backward(
     n = c.sum()
     logits, cache = _position_logits(weights, rows)
     probs = _softmax(logits)
-    seen = c > 0
-    nll = float(-(c[seen] * np.log(probs[seen])).sum() / n)
+    nll = _nll(probs, c)
 
     dlogits = (c.sum(axis=1, keepdims=True) * probs - c) / n
     grads = {"out_proj": dlogits.T @ cache["h2"]}
@@ -346,17 +351,6 @@ def nll_and_grad(
         b64 = b.astype(np.float64)
         grads[name] = (adapter.scale * (b64.T @ dw), adapter.scale * (dw @ a64.T))
     return nll, grads
-
-
-def batch_nll(
-    base: BaseParams,
-    adapter: LoraAdapter | None,
-    docs: list[str],
-    max_seq_len: int = 256,
-) -> float:
-    """Mean next-token NLL without gradients."""
-    inputs, targets = _batch_pairs(base.vocab, docs, max_seq_len)
-    return float(-np.log(_prob_table(base, adapter)[inputs, targets]).mean())
 
 
 class _AdamW:
@@ -481,8 +475,8 @@ def perplexity(
     max_seq_len: int = 100_000,
 ) -> float:
     """exp(mean NLL) over all positions after the first eval_prefix_len."""
-    inputs, targets = _scored_pairs(base.vocab, docs, eval_prefix_len, max_seq_len)
-    return float(np.exp(-np.log(_prob_table(base, adapter)[inputs, targets]).mean()))
+    counts = _scored_counts(base.vocab, docs, eval_prefix_len, max_seq_len)
+    return float(np.exp(_nll(_prob_table(base, adapter), counts)))
 
 
 def generate(
@@ -496,13 +490,12 @@ def generate(
     if n_tokens < 0:
         raise ValueError("n_tokens must be >= 0")
     rng = np.random.default_rng(seed)
-    weights = _effective_weights(base, adapter)
+    table = _prob_table(base, adapter)
     out = prompt
     token = base.vocab.index(prompt[-1]) if prompt else 0
     for _ in range(n_tokens):
-        logits, _ = _position_logits(weights, np.array([token]))
-        probs = _softmax(logits)[0]
-        token = int(rng.choice(base.vocab.size, p=probs / probs.sum()))
+        row = table[token]
+        token = int(rng.choice(base.vocab.size, p=row / row.sum()))
         if token == 1:  # EOS
             break
         out += base.vocab.symbols[token]

@@ -49,27 +49,22 @@ def build_catalog(docs: list[str], cfg: RunConfig, out_dir: str | Path) -> Build
     store.save_base(base, out_dir)
 
     records: list[store.ExpertRecord] = []
-    train_set = set(split.train_idx.tolist())
+    train_assignment = ClusterAssignment(assignment.labels[split.train_idx], assignment.K)
+    centroids = clustering.compute_centroids(embeddings[split.train_idx], train_assignment)
     for k in range(assignment.K):
-        members = [i for i in assignment.members(k) if i in train_set]
-        cluster_docs = [docs[i] for i in members]
+        cluster_docs = [docs[i] for i in split.train_idx[train_assignment.members(k)]]
         expert_cfg = dataclasses.replace(cfg.expert_train, seed=cfg.expert_train.seed + 7919 * k)
         adapter = lm.train_adapter(
             base, cluster_docs, expert_cfg, rank=cfg.lora_rank, alpha=cfg.lora_alpha
         )
-        centroid_src = embeddings[members].astype(np.float64).mean(axis=0)
-        norm = float(np.linalg.norm(centroid_src))
-        if norm == 0.0:
-            raise ValueError(f"degenerate centroid: cluster {k} has zero-norm mean")
-        centroid = (centroid_src / norm).astype(np.float32)
         rel_path = f"{store.ADAPTER_DIR}/expert_{k:04d}.bin"
         byte_size = store.save_adapter(adapter, out_dir / rel_path, fingerprint)
         blob = (out_dir / rel_path).read_bytes()
         records.append(
             store.ExpertRecord(
                 expert_id=k,
-                centroid=centroid,
-                cluster_size=len(members),
+                centroid=centroids.centroids[k],
+                cluster_size=int(centroids.sizes[k]),
                 adapter_path=rel_path,
                 byte_size=byte_size,
                 checksum=blob[-8:].hex(),

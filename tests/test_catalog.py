@@ -80,6 +80,21 @@ def test_trailing_bytes_rejected(tmp_path, adapter, fingerprint):
         cat.load_adapter(path)
 
 
+def test_non_finite_adapter_rejected(tmp_path, adapter, fingerprint):
+    # both pass the checksum: the writer stored them faithfully
+    path = tmp_path / "e.adapter"
+    nan_alpha = adapter.copy()
+    nan_alpha.alpha = float("nan")
+    cat.save_adapter(nan_alpha, path, fingerprint)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        cat.load_adapter(path, fingerprint)
+    inf_factor = adapter.copy()
+    inf_factor.factors["out_proj"][1][0, 0] = np.inf
+    cat.save_adapter(inf_factor, path, fingerprint)
+    with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
+        cat.load_adapter(path, fingerprint)
+
+
 def _matrix_record(name, dims, alpha, data, name_len):
     length = len(name) if name_len is None else name_len
     return struct.pack("<I", length) + name + struct.pack("<IIIf", *dims, alpha) + data
@@ -194,6 +209,19 @@ def test_load_active_missing_expert(tmp_path, small_base):
     catalog.adapter_file(0).unlink()
     with pytest.raises(FileNotFoundError, match="adapter file missing"):
         cat.load_active(catalog, MergeWeights(entries={0: 1.0}))
+
+
+def test_load_active_rejects_swapped_adapter_files(tmp_path, small_base):
+    catalog = build_catalog_dir(tmp_path, small_base, 2, ["abcd", "efgh"])
+    first, second = catalog.adapter_file(0), catalog.adapter_file(1)
+    blob0, blob1 = first.read_bytes(), second.read_bytes()
+    first.write_bytes(blob1)
+    second.write_bytes(blob0)
+    for k in (0, 1):
+        with pytest.raises(ValueError, match=rf"expert_00{k}\.adapter .*manifest checksum"):
+            cat.load_active(catalog, MergeWeights(entries={k: 1.0}))
+        # the file itself is intact; only the manifest record tells them apart
+        cat.load_adapter(catalog.adapter_file(k), catalog.base_fingerprint)
 
 
 def test_timed_route_merge(tmp_path, small_base):

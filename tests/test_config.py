@@ -51,6 +51,17 @@ def test_legacy_config_keys_ignored():
     assert RunConfig.load(LEGACY_CONFIG) == RunConfig()
 
 
+def test_legacy_ttt_epochs_only_one(tmp_path):
+    # the removed ttt_epochs field loads at the one value builds wrote, 1
+    text = LEGACY_CONFIG.read_text()
+    assert "ttt_epochs: 1\n" in text
+    path = tmp_path / "epochs.yaml"
+    path.write_text(text.replace("ttt_epochs: 1\n", "ttt_epochs: 3\n"))
+    with pytest.raises(ValueError, match="ttt_epochs=3"):
+        RunConfig.load(path)
+    assert not hasattr(RunConfig(), "ttt_epochs")
+
+
 def test_unknown_config_key_rejected(tmp_path):
     text = LEGACY_CONFIG.read_text()
     for bad in (

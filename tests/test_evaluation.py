@@ -90,11 +90,9 @@ def test_ttt_single_self_neighbor_improves(small_base):
     docs = ["abcdabcdabcd", "hgfe", "gfeh"]
     _, embs = corpus_embeddings(docs)
     cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=1)
-    adapter = ttt_adapt(
-        small_base, embs[0], embs, docs, 1, cfg, rank=2, alpha=16.0, epochs=3
-    )
-    before = lm.batch_nll(small_base, None, [docs[0]])
-    after = lm.batch_nll(small_base, adapter, [docs[0]])
+    adapter = ttt_adapt(small_base, embs[0], embs, docs, 1, cfg, rank=2, alpha=16.0)
+    before = np.log(lm.perplexity(small_base, None, [docs[0]]))
+    after = np.log(lm.perplexity(small_base, adapter, [docs[0]]))
     assert after < before
 
 
@@ -114,16 +112,16 @@ def test_expert_cluster_matrix_matches_perplexity(small_base):
             lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=k),
             rank=1,
         )
-        for k, doc in enumerate(["abab", "cdcd"])
+        for k, doc in enumerate(["abab", "cdcd", "hgfehgfe"])
     }
-    holdout = {0: ["abba"], 1: ["dccd"]}
-    matrix = expert_cluster_matrix(small_base, adapters, holdout)
-    assert matrix.shape == (2, 2)
-    for k in range(2):
-        for j in range(2):
-            assert matrix[k, j] == pytest.approx(
-                lm.perplexity(small_base, adapters[k], holdout[j]), rel=1e-12
-            )
+    holdout = {0: ["abba"], 1: ["dccd", "cdcdcd"], 2: ["efgh", "hhhh", "gfe"]}
+    for eval_prefix_len in (0, 2):
+        matrix = expert_cluster_matrix(small_base, adapters, holdout, eval_prefix_len)
+        assert matrix.shape == (3, 3)
+        for k in range(3):
+            for j in range(3):
+                expected = lm.perplexity(small_base, adapters[k], holdout[j], eval_prefix_len)
+                assert matrix[k, j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_diagonal_rowmin_fraction():

@@ -70,10 +70,10 @@ def finite_difference_grads(base, adapter, docs, eps=1e-5):
                 # difference quotient denominator is exact
                 mat[idx] = np.float32(original + eps)
                 hi_val = float(np.float64(mat[idx]))
-                hi = lm.batch_nll(base, adapter, docs)
+                hi = np.log(lm.perplexity(base, adapter, docs))
                 mat[idx] = np.float32(original - eps)
                 lo_val = float(np.float64(mat[idx]))
-                lo = lm.batch_nll(base, adapter, docs)
+                lo = np.log(lm.perplexity(base, adapter, docs))
                 mat[idx] = original
                 g[idx] = (hi - lo) / (hi_val - lo_val)
             grads.setdefault(name, {})[label] = g
@@ -140,9 +140,9 @@ def test_train_lr_zero_keeps_zero_delta(tiny_base):
 def test_train_decreases_nll(tiny_base):
     doc = "abcabcabc"
     cfg = lm.TrainConfig(learning_rate=5e-3, epochs=5, batch_size=1, seed=3)
-    before = lm.batch_nll(tiny_base, None, [doc])
+    before = np.log(lm.perplexity(tiny_base, None, [doc]))
     adapter = lm.train_adapter(tiny_base, [doc], cfg, rank=2)
-    after = lm.batch_nll(tiny_base, adapter, [doc])
+    after = np.log(lm.perplexity(tiny_base, adapter, [doc]))
     assert after < before
 
 
@@ -248,8 +248,16 @@ def test_adapter_linearity_in_b(tiny_base):
 def test_adapter_validation(tiny_base):
     with pytest.raises(ValueError, match="rank"):
         lm.LoraAdapter(factors={}, rank=0, alpha=1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        lm.LoraAdapter(factors={}, rank=1, alpha=0.0)
+    for alpha in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            lm.LoraAdapter(factors={}, rank=1, alpha=alpha)
+    adapter = lm.LoraAdapter.init(tiny_base, rank=2, seed=0)
+    for bad in (np.inf, np.nan):
+        a, b = adapter.factors["block1"]
+        a = a.copy()
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
+            lm.LoraAdapter(factors={"block1": (a, b)}, rank=2, alpha=16.0)
 
 
 def test_train_base_learns(tiny_vocab):
@@ -354,7 +362,8 @@ def test_nll_and_grad_match_per_token_reference(seed):
     logs = [lp for doc in docs for lp in reference_log_probs(base, adapter, doc, 0, max_seq_len)]
     assert nll == pytest.approx(ref_nll, rel=1e-10)
     assert nll == pytest.approx(-np.mean(logs), rel=1e-10)
-    assert lm.batch_nll(base, adapter, docs, max_seq_len) == pytest.approx(ref_nll, rel=1e-10)
+    ppl = lm.perplexity(base, adapter, docs, max_seq_len=max_seq_len)
+    assert np.log(ppl) == pytest.approx(ref_nll, rel=1e-10)
     for name, (a, b) in adapter.factors.items():
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
         ga, gb = grads[name]
@@ -392,3 +401,25 @@ def test_ensemble_perplexity_matches_per_token_reference(seed):
         expected = float(np.exp(-np.mean(logs)))
         got = ensemble_perplexity(base, weights, adapters, docs, eval_prefix_len)
         assert got == pytest.approx(expected, rel=1e-10)
+
+
+def reference_generate(base, adapter, prompt, n_tokens, seed):
+    """Ancestral sampling with one lm.forward call on the whole text per token."""
+    rng = np.random.default_rng(seed)
+    out = prompt
+    for _ in range(n_tokens):
+        probs = lm.forward(base, adapter, out)
+        token = int(rng.choice(base.vocab.size, p=probs / probs.sum()))
+        if token == 1:  # EOS
+            break
+        out += base.vocab.symbols[token]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generate_matches_per_token_reference(seed):
+    base, adapter, docs = random_model(seed)
+    for model_adapter in (None, adapter):
+        for i, prompt in enumerate(["", docs[0][:3], docs[-1]]):
+            expected = reference_generate(base, model_adapter, prompt, 40, seed=10 * seed + i)
+            assert lm.generate(base, model_adapter, prompt, 40, seed=10 * seed + i) == expected
