@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from expertmerge import embedding, pipeline
-from expertmerge.cli import bench_csv, bench_sweep
+from expertmerge.catalog import bench_csv, bench_sweep
 from expertmerge.config import RunConfig
 from expertmerge.corpus import generate_corpus, read_corpus, write_corpus
 from expertmerge.evaluation import DEFAULT_METHODS, run_table1

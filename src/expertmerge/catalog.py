@@ -1,4 +1,5 @@
-"""On-disk expert catalog: adapter serialization, manifest, timed loading.
+"""On-disk expert catalog: adapter serialization, manifest, timed loading
+and the tau×beta latency sweep.
 
 Adapter binary format (little-endian throughout):
 
@@ -14,6 +15,7 @@ an adapters/ subdirectory next to it.
 from __future__ import annotations
 
 import hashlib
+import statistics
 import struct
 import time
 from dataclasses import dataclass, field
@@ -64,14 +66,21 @@ def save_adapter(adapter: lm.LoraAdapter, path: str | Path, base_fingerprint: by
 
 
 def load_adapter(
-    path: str | Path, base_fingerprint: bytes | None = None, checksum: str | None = None
+    path: str | Path,
+    base_fingerprint: bytes | None = None,
+    checksum: str | None = None,
+    byte_size: int | None = None,
 ) -> lm.LoraAdapter:
     """Read an adapter and verify its checksum; if given, also verify the
-    base fingerprint and that the checksum equals `checksum`, the hex value
-    the adapter's manifest record stores."""
+    base fingerprint and that the file matches its manifest record: its
+    checksum equals `checksum` (hex) and its length equals `byte_size`."""
     global ADAPTER_READS
     blob = Path(path).read_bytes()
     ADAPTER_READS += 1
+    if byte_size is not None and len(blob) != byte_size:
+        raise ValueError(
+            f"adapter {path} is {len(blob)} bytes, its manifest byte_size is {byte_size}"
+        )
     if len(blob) < len(MAGIC) + 2 + 32 + 4 + 8:
         raise ValueError(f"corrupt adapter: {path} (truncated)")
     payload, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
@@ -292,7 +301,9 @@ def load_active(
         if not path.exists():
             raise FileNotFoundError(f"adapter file missing for expert {k}: {path}")
         record = catalog.records[k]
-        adapters[k] = load_adapter(path, catalog.base_fingerprint, record.checksum)
+        adapters[k] = load_adapter(
+            path, catalog.base_fingerprint, record.checksum, record.byte_size
+        )
         report.bytes_loaded += record.byte_size
     report.load_duration = time.monotonic() - start
     return adapters, report
@@ -311,3 +322,53 @@ def timed_route_merge(
     merged = merge_adapters(weights, adapters)
     report.merge_duration = time.monotonic() - t2
     return merged, report
+
+
+def bench_sweep(
+    catalog: ExpertCatalog,
+    query: np.ndarray,
+    taus: list[float],
+    betas: list[float],
+    repetitions: int,
+) -> list[dict]:
+    """Median select/load/merge latency per (tau, beta) cell."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    rows = []
+    for tau in taus:
+        for beta in betas:
+            route_cfg = RoutingConfig(beta=beta, tau=tau)
+            selects, loads, merges = [], [], []
+            n_active = 0
+            bytes_loaded = 0
+            for _ in range(repetitions):
+                _, rep = timed_route_merge(catalog, query, route_cfg)
+                selects.append(rep.select_duration)
+                loads.append(rep.load_duration)
+                merges.append(rep.merge_duration)
+                n_active = rep.n_active
+                bytes_loaded = rep.bytes_loaded
+            rows.append(
+                {
+                    "tau": tau,
+                    "beta": beta,
+                    "n_active": n_active,
+                    "bytes_loaded": bytes_loaded,
+                    "select_ms": 1e3 * statistics.median(selects),
+                    "load_ms": 1e3 * statistics.median(loads),
+                    "merge_ms": 1e3 * statistics.median(merges),
+                }
+            )
+    return rows
+
+
+def bench_csv(rows: list[dict]) -> str:
+    """bench_sweep rows as CSV text with a header line."""
+    lines = ["tau,beta,n_active,select_ms,load_ms,merge_ms,bytes_loaded"]
+    for row in rows:
+        lines.append(
+            f"{row['tau']},{row['beta']},{row['n_active']},"
+            f"{row['select_ms']:.4f},{row['load_ms']:.4f},{row['merge_ms']:.4f},"
+            f"{row['bytes_loaded']}"
+        )
+    return "\n".join(lines) + "\n"

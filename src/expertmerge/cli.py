@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import statistics
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from . import catalog as store, clustering, embedding, evaluation, model as lm, pipeline, routing
+from . import catalog as store, clustering, embedding, evaluation, model as lm, pipeline
 from .config import RunConfig
 from .corpus import read_corpus
 from .evaluation import DEFAULT_METHODS, PropositionProbe
@@ -74,61 +73,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     query = embedding.embed(
         cfg.embedder, query_doc[: cfg.protocol.query_prefix_len] or query_doc
     )
-    text = bench_csv(bench_sweep(built.catalog, query, taus, betas, args.repetitions))
+    text = store.bench_csv(store.bench_sweep(built.catalog, query, taus, betas, args.repetitions))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     print(text)
     return 0
-
-
-def bench_sweep(
-    catalog: store.ExpertCatalog,
-    query: np.ndarray,
-    taus: list[float],
-    betas: list[float],
-    repetitions: int,
-) -> list[dict]:
-    """Median select/load/merge latency per (tau, beta) cell."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    rows = []
-    for tau in taus:
-        for beta in betas:
-            route_cfg = routing.RoutingConfig(beta=beta, tau=tau)
-            selects, loads, merges = [], [], []
-            n_active = 0
-            bytes_loaded = 0
-            for _ in range(repetitions):
-                _, rep = store.timed_route_merge(catalog, query, route_cfg)
-                selects.append(rep.select_duration)
-                loads.append(rep.load_duration)
-                merges.append(rep.merge_duration)
-                n_active = rep.n_active
-                bytes_loaded = rep.bytes_loaded
-            rows.append(
-                {
-                    "tau": tau,
-                    "beta": beta,
-                    "n_active": n_active,
-                    "bytes_loaded": bytes_loaded,
-                    "select_ms": 1e3 * statistics.median(selects),
-                    "load_ms": 1e3 * statistics.median(loads),
-                    "merge_ms": 1e3 * statistics.median(merges),
-                }
-            )
-    return rows
-
-
-def bench_csv(rows: list[dict]) -> str:
-    """bench_sweep rows as CSV text with a header line."""
-    lines = ["tau,beta,n_active,select_ms,load_ms,merge_ms,bytes_loaded"]
-    for row in rows:
-        lines.append(
-            f"{row['tau']},{row['beta']},{row['n_active']},"
-            f"{row['select_ms']:.4f},{row['load_ms']:.4f},{row['merge_ms']:.4f},"
-            f"{row['bytes_loaded']}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -146,8 +95,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         text = lm.generate(merging.apply_merged(base, merged), None, args.prompt, args.n_tokens, args.seed)
     elif args.method.startswith("expert-"):
         k = int(args.method.split("-", 1)[1])
+        if not 0 <= k < cat.K:
+            raise ValueError(f"expert id {k} is not in 0..{cat.K - 1}")
+        record = cat.records[k]
         adapter = store.load_adapter(
-            cat.adapter_file(k), cat.base_fingerprint, cat.records[k].checksum
+            cat.adapter_file(k), cat.base_fingerprint, record.checksum, record.byte_size
         )
         text = lm.generate(base, adapter, args.prompt, args.n_tokens, args.seed)
     else:

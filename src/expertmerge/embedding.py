@@ -59,30 +59,43 @@ def bucket_sign(config: EmbedderConfig, gram: str) -> tuple[int, int]:
     return bucket, sign
 
 
-def embed(config: EmbedderConfig, text: str) -> np.ndarray:
-    """Embed text into a unit-norm float32 vector of length config.dim.
+def _embed_texts(config: EmbedderConfig, texts: list[str]) -> np.ndarray:
+    """Embed each text into one row of an (n, dim) float32 matrix.
 
     Each character n-gram of each configured order is hashed into one of
     dim buckets with a ±1 sign; bucket sums are averaged over the n-gram
-    count and L2-normalized.
+    count and L2-normalized. Each distinct gram of the call is hashed once,
+    into the code 2*bucket + (sign > 0), and a text's bucket sums are the
+    exact integer differences of its code counts.
     """
-    if not text:
-        raise ValueError("empty sequence")
-    grams = ngrams(text, config.ngram_orders)
-    acc = np.zeros(config.dim, dtype=np.float64)
-    for gram in grams:
-        bucket, sign = bucket_sign(config, gram)
-        acc[bucket] += sign
-    acc /= len(grams)
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        raise ValueError("degenerate embedding")
-    return (acc / norm).astype(np.float32)
+    codes_of: dict[str, int] = {}
+    out = np.empty((len(texts), config.dim), dtype=np.float32)
+    for row, text in enumerate(texts):
+        if not text:
+            raise ValueError("empty sequence")
+        grams = ngrams(text, config.ngram_orders)
+        for gram in set(grams).difference(codes_of):
+            bucket, sign = bucket_sign(config, gram)
+            codes_of[gram] = 2 * bucket + (sign > 0)
+        codes = np.fromiter(map(codes_of.__getitem__, grams), dtype=np.intp, count=len(grams))
+        counts = np.bincount(codes, minlength=2 * config.dim)
+        acc = (counts[1::2] - counts[0::2]).astype(np.float64)
+        acc /= len(grams)
+        norm = float(np.linalg.norm(acc))
+        if norm == 0.0:
+            raise ValueError("degenerate embedding")
+        out[row] = acc / norm
+    return out
+
+
+def embed(config: EmbedderConfig, text: str) -> np.ndarray:
+    """Embed text into a unit-norm float32 vector of length config.dim."""
+    return _embed_texts(config, [text])[0]
 
 
 def embed_corpus(config: EmbedderConfig, docs: list[str]) -> np.ndarray:
     """Stack embeddings of all documents into an (n, dim) float32 matrix."""
-    return np.stack([embed(config, doc) for doc in docs])
+    return _embed_texts(config, docs)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -378,10 +378,10 @@ def run_table1(
     K = assignment.K
     test_pairs = [(k, split.test[k]) for k in range(K)]
     test_docs = [docs[i] for _, i in test_pairs]
-    queries = [
-        embedding.embed(cfg.embedder, docs[i][: cfg.protocol.query_prefix_len] or docs[i])
-        for _, i in test_pairs
-    ]
+    queries = embedding.embed_corpus(
+        cfg.embedder,
+        [docs[i][: cfg.protocol.query_prefix_len] or docs[i] for _, i in test_pairs],
+    )
     train_docs = [docs[i] for i in split.train_idx]
     epl = cfg.protocol.eval_prefix_len
 

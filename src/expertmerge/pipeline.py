@@ -1,12 +1,15 @@
 """End-to-end catalog construction: embed, cluster, pre-train, train experts.
 
 Everything is deterministic for a fixed config seed, so rebuilding with
-the same inputs yields byte-identical adapters and manifest.
+the same inputs yields byte-identical adapters, manifest and corpus
+embeddings. The catalog keeps the corpus embeddings and the documents'
+digest, so evaluation reloads them instead of embedding the corpus again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,6 +19,9 @@ from . import catalog as store, clustering, embedding, model as lm
 from .clustering import ClusterAssignment
 from .config import RunConfig
 from .evaluation import HoldoutSplit, split_holdout
+
+EMBEDDINGS_NAME = "embeddings.npy"
+CORPUS_DIGEST_NAME = "corpus.sha256"
 
 
 @dataclass
@@ -80,6 +86,8 @@ def build_catalog(docs: list[str], cfg: RunConfig, out_dir: str | Path) -> Build
     store.save_manifest(cat)
     cfg.save(out_dir / "config.yaml")
     _write_assignment(out_dir / "assignment.txt", assignment)
+    np.save(out_dir / EMBEDDINGS_NAME, embeddings, allow_pickle=False)
+    (out_dir / CORPUS_DIGEST_NAME).write_text(_corpus_digest(docs) + "\n", encoding="utf-8")
     return BuildResult(
         catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
     )
@@ -90,15 +98,51 @@ def _write_assignment(path: Path, assignment: ClusterAssignment) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _corpus_digest(docs: list[str]) -> str:
+    """sha256 hex of the documents, each length-prefixed so that no two
+    document lists share a digest by concatenation."""
+    digest = hashlib.sha256()
+    for doc in docs:
+        raw = doc.encode("utf-8")
+        digest.update(len(raw).to_bytes(8, "little"))
+        digest.update(raw)
+    return digest.hexdigest()
+
+
+def _load_embeddings(catalog_dir: Path, docs: list[str], dim: int) -> np.ndarray:
+    """The corpus embeddings the build wrote, checked against `docs`."""
+    try:
+        stored = (catalog_dir / CORPUS_DIGEST_NAME).read_text(encoding="utf-8").strip()
+    except OSError as exc:
+        raise ValueError(
+            f"catalog {catalog_dir}: cannot read {CORPUS_DIGEST_NAME} ({exc})"
+        ) from exc
+    if stored != _corpus_digest(docs):
+        raise ValueError(f"catalog {catalog_dir} was built from other documents")
+    try:
+        embeddings = np.load(catalog_dir / EMBEDDINGS_NAME, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(
+            f"catalog {catalog_dir}: cannot read {EMBEDDINGS_NAME} ({exc})"
+        ) from exc
+    if embeddings.dtype != np.float32 or embeddings.shape != (len(docs), dim):
+        raise ValueError(
+            f"catalog {catalog_dir}: {EMBEDDINGS_NAME} is {embeddings.dtype} "
+            f"{embeddings.shape}, expected float32 {(len(docs), dim)}"
+        )
+    return embeddings
+
+
 def load_built(docs: list[str], catalog_dir: str | Path) -> BuildResult:
-    """Reload a built catalog and recompute the deterministic split."""
+    """Reload a built catalog and its corpus embeddings, and recompute the
+    deterministic split. `docs` must be the documents it was built from."""
     catalog_dir = Path(catalog_dir)
     cfg = RunConfig.load(catalog_dir / "config.yaml")
     cat = store.load_catalog(catalog_dir)
     base = store.load_base(catalog_dir)
     if base.fingerprint() != cat.base_fingerprint:
         raise ValueError("catalog base fingerprint mismatch")
-    embeddings = embedding.embed_corpus(cfg.embedder, docs)
+    embeddings = _load_embeddings(catalog_dir, docs, cfg.embedder.dim)
     labels = np.array(
         [
             int(line.split()[1])

@@ -14,7 +14,7 @@ from conftest import random_unit_vectors
 from expertmerge import catalog as store
 from expertmerge import model as lm
 from expertmerge import pipeline
-from expertmerge.cli import bench_sweep
+from expertmerge.catalog import bench_sweep
 from expertmerge.config import RunConfig
 from expertmerge.corpus import generate_corpus
 from expertmerge.embedding import EmbedderConfig, embed_corpus

@@ -18,6 +18,21 @@ from expertmerge.embedding import (
 CFG = EmbedderConfig(dim=64, ngram_orders=(2, 3), hash_seed=123)
 
 
+def reference_embed(config, text):
+    """One bucket_sign call and one += per gram occurrence: the loop the
+    batched embedder must match bit for bit."""
+    grams = ngrams(text, config.ngram_orders)
+    acc = np.zeros(config.dim, dtype=np.float64)
+    for gram in grams:
+        bucket, sign = bucket_sign(config, gram)
+        acc[bucket] += sign
+    acc /= len(grams)
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        raise ValueError("degenerate embedding")
+    return (acc / norm).astype(np.float32)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EmbedderConfig(dim=4)
@@ -37,6 +52,43 @@ def test_embed_deterministic():
 def test_empty_text_rejected():
     with pytest.raises(ValueError, match="empty sequence"):
         embed(CFG, "")
+    with pytest.raises(ValueError, match="empty sequence"):
+        embed_corpus(CFG, ["abc", ""])
+
+
+# small alphabets repeat grams within and across texts; lengths below the
+# largest order exercise the whole-string gram
+TEXTS = st.one_of(
+    st.text(alphabet="ab", min_size=1, max_size=12),
+    st.text(alphabet="abc ", min_size=1, max_size=40),
+    st.text(alphabet=string.printable, min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(1,), (2, 3), (2, 3, 4), (3, 5), (6,), (1, 8)]),
+    st.sampled_from([8, 16, 64]),
+    st.lists(TEXTS, min_size=1, max_size=6),
+)
+def test_batched_embed_matches_per_gram_loop(orders, dim, texts):
+    cfg = EmbedderConfig(dim=dim, ngram_orders=orders, hash_seed=99)
+    refs = []
+    for text in texts:
+        try:
+            ref = reference_embed(cfg, text)
+        except ValueError:
+            with pytest.raises(ValueError, match="degenerate embedding"):
+                embed(cfg, text)
+            refs.append(None)
+            continue
+        assert np.array_equal(embed(cfg, text), ref)
+        refs.append(ref)
+    if any(ref is None for ref in refs):
+        with pytest.raises(ValueError, match="degenerate embedding"):
+            embed_corpus(cfg, texts)
+    else:
+        assert np.array_equal(embed_corpus(cfg, texts), np.stack(refs))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,14 +1,19 @@
 import dataclasses
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+from expertmerge import catalog as store
 from expertmerge import pipeline
-from expertmerge.cli import bench_sweep, main
+from expertmerge.catalog import bench_sweep
+from expertmerge.cli import main
 from expertmerge.config import EvalProtocol, RunConfig
 from expertmerge.corpus import CorpusConfig, generate_corpus, write_corpus
-from expertmerge.embedding import EmbedderConfig
+from expertmerge.embedding import EmbedderConfig, embed_corpus
 from expertmerge.model import TrainConfig
+from expertmerge.routing import MergeWeights
 
 
 def tiny_run_config(seed=0):
@@ -73,6 +78,8 @@ def test_build_deterministic(tiny_corpus, tmp_path):
         assert (a.catalog.root / ra.adapter_path).read_bytes() == (
             b.catalog.root / rb.adapter_path
         ).read_bytes()
+    for name in (pipeline.EMBEDDINGS_NAME, pipeline.CORPUS_DIGEST_NAME):
+        assert (a.catalog.root / name).read_bytes() == (b.catalog.root / name).read_bytes()
 
 
 def test_build_k_too_large(tmp_path):
@@ -83,7 +90,7 @@ def test_build_k_too_large(tmp_path):
 
 
 def test_load_built_roundtrip(built):
-    result, docs, _ = built
+    result, docs, cfg = built
     reloaded = pipeline.load_built(docs, result.catalog.root)
     assert reloaded.catalog.K == result.catalog.K
     assert reloaded.base.fingerprint() == result.base.fingerprint()
@@ -92,6 +99,40 @@ def test_load_built_roundtrip(built):
     assert np.array_equal(
         reloaded.catalog.centroid_matrix(), result.catalog.centroid_matrix()
     )
+    assert np.array_equal(reloaded.embeddings, embed_corpus(cfg.embedder, docs))
+
+
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        ("other_docs", "built from other documents"),
+        ("missing_embeddings", "cannot read embeddings.npy"),
+        ("missing_digest", "cannot read corpus.sha256"),
+        ("not_npy", "cannot read embeddings.npy"),
+        ("wrong_shape", "expected float32"),
+        ("wrong_dtype", "expected float32"),
+    ],
+)
+def test_load_built_rejects_mismatched_embeddings(built, tmp_path, damage, match):
+    result, docs, cfg = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    path = root / pipeline.EMBEDDINGS_NAME
+    n, dim = len(docs), cfg.embedder.dim
+    if damage == "other_docs":
+        docs = docs[:-1] + [docs[-1][::-1]]
+    elif damage == "missing_embeddings":
+        path.unlink()
+    elif damage == "missing_digest":
+        (root / pipeline.CORPUS_DIGEST_NAME).unlink()
+    elif damage == "not_npy":
+        path.write_bytes(b"not an array")
+    elif damage == "wrong_shape":
+        np.save(path, np.zeros((n, dim - 1), dtype=np.float32))
+    else:
+        np.save(path, np.zeros((n, dim), dtype=np.float64))
+    with pytest.raises(ValueError, match=match):
+        pipeline.load_built(docs, root)
 
 
 def test_cli_build_and_eval(tiny_corpus, tmp_path, capsys):
@@ -216,6 +257,35 @@ def test_cli_generate(tiny_corpus, tmp_path, capsys):
         assert rc == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith(prompt)
+
+
+@pytest.mark.parametrize("method", ["expert-99", "expert--1", "expert-4"])
+def test_cli_generate_rejects_unknown_expert_id(built, capsys, method):
+    result, docs, cfg = built
+    rc = main(["generate", str(result.catalog.root), docs[0][:6], "--method", method])
+    assert rc == 1
+    assert f"is not in 0..{cfg.n_clusters - 1}" in capsys.readouterr().err
+
+
+def test_manifest_byte_size_checked(built, tmp_path, capsys):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    manifest = root / store.MANIFEST_NAME
+    size = result.catalog.records[0].byte_size
+    manifest.write_text(
+        manifest.read_text().replace(f"byte_size: {size}\n", f"byte_size: {size + 1}\n", 1)
+    )
+    catalog = store.load_catalog(root)
+    assert catalog.records[0].byte_size == size + 1
+    message = rf"expert_0000\.bin is {size} bytes, its manifest byte_size is {size + 1}"
+    with pytest.raises(ValueError, match=message):
+        store.load_active(catalog, MergeWeights(entries={0: 1.0}))
+    store.load_active(catalog, MergeWeights(entries={1: 1.0}))
+    prompt = docs[0][:6]
+    assert main(["generate", str(root), prompt, "--method", "expert-0"]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert main(["generate", str(root), prompt, "--method", "expert-1"]) == 0
 
 
 def test_cli_probe(tiny_corpus, tmp_path, capsys):
