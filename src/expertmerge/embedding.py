@@ -65,9 +65,11 @@ def _embed_texts(config: EmbedderConfig, texts: list[str]) -> np.ndarray:
     Each character n-gram of each configured order is hashed into one of
     dim buckets with a ±1 sign; bucket sums are averaged over the n-gram
     count and L2-normalized. Each distinct gram of the call is hashed once,
-    into the code 2*bucket + (sign > 0), and a text's bucket sums are the
+    into the code 2*bucket + (sign > 0) by a copy of one keyed hasher made
+    per call (the digest of bucket_sign), and a text's bucket sums are the
     exact integer differences of its code counts.
     """
+    keyed = hashlib.blake2b(key=config.hash_seed.to_bytes(8, "little"), digest_size=8)
     codes_of: dict[str, int] = {}
     out = np.empty((len(texts), config.dim), dtype=np.float32)
     for row, text in enumerate(texts):
@@ -75,8 +77,10 @@ def _embed_texts(config: EmbedderConfig, texts: list[str]) -> np.ndarray:
             raise ValueError("empty sequence")
         grams = ngrams(text, config.ngram_orders)
         for gram in set(grams).difference(codes_of):
-            bucket, sign = bucket_sign(config, gram)
-            codes_of[gram] = 2 * bucket + (sign > 0)
+            hasher = keyed.copy()
+            hasher.update(gram.encode("utf-8"))
+            h = int.from_bytes(hasher.digest(), "little")
+            codes_of[gram] = 2 * ((h >> 1) % config.dim) + (h & 1)
         codes = np.fromiter(map(codes_of.__getitem__, grams), dtype=np.intp, count=len(grams))
         counts = np.bincount(codes, minlength=2 * config.dim)
         acc = (counts[1::2] - counts[0::2]).astype(np.float64)

@@ -2,9 +2,8 @@
 
 Covers the per-cluster holdout split, global fine-tuning, test-time
 training on nearest neighbors, the expert-by-cluster perplexity matrix,
-pass@N routing accuracy, the centroid-vs-sum selection comparison, the
-gradient-descent approximation bound probe, and the headline perplexity
-table across methods.
+pass@N routing accuracy, the gradient-descent approximation bound probe,
+and the headline perplexity table across methods.
 """
 
 from __future__ import annotations
@@ -80,11 +79,8 @@ def ttt_adapt(
     order = np.lexsort((np.arange(len(sims)), -sims))[:N]
     neighbors = [corpus_docs[i] for i in order]
 
-    adapter = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
-    params = lm._lora_params(adapter)
-    loss_and_grad = lm._lora_loss(base, adapter, params, cfg.max_seq_len)
-    lm._fit(params, ([doc] for doc in neighbors), loss_and_grad, lm._AdamW(params, cfg))
-    return lm._lora_from_params(adapter, params)
+    init = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
+    return lm.fit_adapter(base, init, ([doc] for doc in neighbors), cfg)
 
 
 def expert_cluster_matrix(
@@ -119,23 +115,6 @@ def pass_at_n(
         ranks.append(int(np.flatnonzero(order == true_cluster)[0]))
     ranks_arr = np.array(ranks)
     return [(n, float((ranks_arr < n).mean())) for n in N_list]
-
-
-def centroid_vs_sum_selection(
-    query: np.ndarray, embeddings: np.ndarray, assignment: ClusterAssignment
-) -> tuple[int, int]:
-    """argmin cluster under the centroid criterion ||q - c_k||^2 versus the
-    sum criterion sum_x ||q - phi(x)||^2."""
-    q = np.asarray(query, dtype=np.float64)
-    x = np.asarray(embeddings, dtype=np.float64)
-    centroid_scores = []
-    sum_scores = []
-    for k in range(assignment.K):
-        members = x[assignment.members(k)]
-        centroid = members.mean(axis=0)
-        centroid_scores.append(float(((q - centroid) ** 2).sum()))
-        sum_scores.append(float(((q - members) ** 2).sum()))
-    return int(np.argmin(centroid_scores)), int(np.argmin(sum_scores))
 
 
 @dataclass(frozen=True)
@@ -175,17 +154,12 @@ def _full_batch_gd(
     T: int,
 ) -> lm.LoraAdapter:
     """Plain gradient descent on the mean of per-document losses."""
-    params = lm._lora_params(init)
+    theta = init.flat()
     for _ in range(T):
-        work = lm._lora_from_params(init, params)
-        acc: dict[str, np.ndarray] = {}
-        for doc in docs:
-            _, grads = lm.nll_and_grad(base, work, [doc])
-            for key, g in lm._flat_factors(grads).items():
-                acc[key] = acc.get(key, 0.0) + g / len(docs)
-        for key in params:
-            params[key] = params[key] - eta * acc[key]
-    return lm._lora_from_params(init, params)
+        work = init.with_flat(theta)
+        grad = sum(lm.nll_and_grad(base, work, [doc])[1] / len(docs) for doc in docs)
+        theta = theta - eta * grad
+    return init.with_flat(theta)
 
 
 def _embedding_diameter(embs: np.ndarray) -> float:
@@ -239,12 +213,8 @@ def proposition_probe(
     if probe.G_hat is not None:
         g_hat = probe.G_hat
     else:
-        def flat_grad(doc: str) -> np.ndarray:
-            _, grads = lm.nll_and_grad(base, init, [doc])
-            return np.concatenate([g.ravel() for g in lm._flat_factors(grads).values()])
-
-        grads_nn = [flat_grad(d) for d in nn_docs]
-        grads_other = [flat_grad(d) for d in other_docs]
+        grads_nn = [lm.nll_and_grad(base, init, [d])[1] for d in nn_docs]
+        grads_other = [lm.nll_and_grad(base, init, [d])[1] for d in other_docs]
         ratio = 0.0
         for i, gi in zip(nn_idx, grads_nn):
             for j, gj in zip(other_idx, grads_other):
@@ -262,20 +232,13 @@ def proposition_probe(
         l_hat = probe.L_hat
     else:
         rng = np.random.default_rng(seed)
-        params0 = lm._lora_params(theta_nn)
-        theta0 = np.concatenate([arr.ravel() for arr in params0.values()])
-        splits = np.cumsum([arr.size for arr in params0.values()])[:-1]
+        theta0 = theta_nn.flat()
         ratio = 0.0
         for _ in range(8):
             direction = rng.standard_normal(theta0.size)
             direction /= np.linalg.norm(direction)
             eps = 1e-4
-            perturbed = np.split(theta0 + eps * direction, splits)
-            params = {
-                key: piece.reshape(arr.shape)
-                for (key, arr), piece in zip(params0.items(), perturbed)
-            }
-            p1 = lm.forward(base, lm._lora_from_params(theta_nn, params), prompt)
+            p1 = lm.forward(base, theta_nn.with_flat(theta0 + eps * direction), prompt)
             ratio = max(
                 ratio,
                 float(np.linalg.norm(p1.astype(np.float64) - p_nn.astype(np.float64))) / eps,

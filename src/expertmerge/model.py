@@ -33,6 +33,22 @@ def reset_forward_evals() -> None:
     FORWARD_EVALS = 0
 
 
+def _code_points(text: str) -> np.ndarray:
+    """One uint32 per character of text (lone surrogates included)."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _ravel(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """One float64 vector of the arrays' entries, array after array."""
+    return np.concatenate([np.zeros(0)] + [np.ravel(x) for x in arrays])
+
+
+def _unravel(theta: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of theta shaped like the arrays of `like`, in the _ravel layout."""
+    ends = np.cumsum([x.size for x in like])
+    return [part.reshape(x.shape) for part, x in zip(np.split(theta, ends[:-1]), like)]
+
+
 @dataclass(frozen=True)
 class Vocab:
     symbols: str  # ordered characters, BOS first, EOS second
@@ -44,6 +60,12 @@ class Vocab:
             raise ValueError("symbols must start with BOS, EOS markers")
         if len(set(self.symbols)) != len(self.symbols):
             raise ValueError("duplicate symbols in vocab")
+        # code point -> id, -1 outside the vocab; the last entry is -1 and
+        # stands for every code point past the largest symbol
+        points = _code_points(self.symbols)
+        ids = np.full(int(points.max()) + 2, -1, dtype=np.int64)
+        ids[points] = np.arange(len(points))
+        object.__setattr__(self, "_ids", ids)
 
     @property
     def size(self) -> int:
@@ -54,14 +76,11 @@ class Vocab:
         chars = sorted(set("".join(docs)) - {BOS, EOS})
         return Vocab(symbols=BOS + EOS + "".join(chars))
 
-    def index(self, ch: str) -> int:
-        i = self.symbols.find(ch)
-        if i < 0:
-            raise ValueError(f"out of vocabulary: {ch!r}")
-        return i
-
     def encode(self, text: str) -> np.ndarray:
-        return np.array([self.index(ch) for ch in text], dtype=np.int64)
+        ids = self._ids[np.minimum(_code_points(text), len(self._ids) - 1)]
+        if len(ids) and ids.min() < 0:
+            raise ValueError(f"out of vocabulary: {text[int(np.argmax(ids < 0))]!r}")
+        return ids
 
     def decode(self, ids: np.ndarray) -> str:
         return "".join(self.symbols[i] for i in ids)
@@ -175,6 +194,25 @@ class LoraAdapter:
             alpha=self.alpha,
         )
 
+    def flat(self) -> np.ndarray:
+        """Float64 vector of the factors: A then B of each target, in factors order."""
+        return _ravel(x for pair in self.factors.values() for x in pair)
+
+    def with_flat(self, theta: np.ndarray) -> "LoraAdapter":
+        """Float32 adapter with these targets, rank and alpha, and the factors
+        read from theta in the flat() layout."""
+        like = [x for pair in self.factors.values() for x in pair]
+        theta = np.asarray(theta)
+        size = sum(x.size for x in like)
+        if theta.shape != (size,):
+            raise ValueError(f"theta must have shape ({size},), got {theta.shape}")
+        parts = _unravel(theta.astype(np.float32), like)
+        return LoraAdapter(
+            factors=dict(zip(self.factors, zip(parts[0::2], parts[1::2]))),
+            rank=self.rank,
+            alpha=self.alpha,
+        )
+
     @staticmethod
     def init(
         base: BaseParams,
@@ -265,7 +303,7 @@ def forward(
 ) -> np.ndarray:
     """Next-token distribution after `prefix` (document start if empty)."""
     global FORWARD_EVALS
-    token = base.vocab.index(prefix[-1]) if prefix else 0  # BOS
+    token = int(np.append(0, base.vocab.encode(prefix))[-1])  # BOS if empty
     logits, _ = _position_logits(_effective_weights(base, adapter), np.array([token]))
     FORWARD_EVALS += 1
     return _softmax(logits)[0]
@@ -338,42 +376,41 @@ def nll_and_grad(
     adapter: LoraAdapter,
     docs: list[str],
     max_seq_len: int = 256,
-) -> tuple[float, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Mean next-token NLL over the batch and gradients w.r.t. A, B only."""
+) -> tuple[float, np.ndarray]:
+    """Mean next-token NLL over the batch and its gradient w.r.t. the
+    factors, as one vector in the adapter.flat() layout."""
     if not docs:
         raise ValueError("empty batch")
     weights = _effective_weights(base, adapter)
     nll, d_w = _backward(weights, _pair_counts(base.vocab, docs, max_seq_len))
-    grads = {}
+    grads = []
     for name, (a, b) in adapter.factors.items():
         dw = d_w[name]
-        a64 = a.astype(np.float64)
-        b64 = b.astype(np.float64)
-        grads[name] = (adapter.scale * (b64.T @ dw), adapter.scale * (dw @ a64.T))
-    return nll, grads
+        grads.append(adapter.scale * (b.astype(np.float64).T @ dw))
+        grads.append(adapter.scale * (dw @ a.astype(np.float64).T))
+    return nll, _ravel(grads)
 
 
 class _AdamW:
-    """AdamW over a dict of float64 arrays; t counts the steps taken."""
+    """AdamW over one float64 vector; t counts the steps taken."""
 
-    def __init__(self, params: dict[str, np.ndarray], cfg: TrainConfig) -> None:
+    def __init__(self, theta: np.ndarray, cfg: TrainConfig) -> None:
         self.cfg = cfg
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         cfg = self.cfg
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        for k, g in grads.items():
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            m_hat = self.m[k] / (1 - b1**self.t)
-            v_hat = self.v[k] / (1 - b2**self.t)
-            params[k] -= cfg.learning_rate * (
-                m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * params[k]
-            )
+        self.m = b1 * self.m + (1 - b1) * grad
+        self.v = b2 * self.v + (1 - b2) * grad * grad
+        m_hat = self.m / (1 - b1**self.t)
+        v_hat = self.v / (1 - b2**self.t)
+        theta -= cfg.learning_rate * (
+            m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * theta
+        )
 
 
 def _minibatches(docs: list[str], cfg: TrainConfig) -> Iterator[list[str]]:
@@ -386,51 +423,32 @@ def _minibatches(docs: list[str], cfg: TrainConfig) -> Iterator[list[str]]:
 
 
 def _fit(
-    params: dict[str, np.ndarray],
+    theta: np.ndarray,
     batches: Iterable[list[str]],
-    loss_and_grad: Callable[[list[str]], tuple[float, dict[str, np.ndarray]]],
-    opt: _AdamW,
+    loss_and_grad: Callable[[list[str]], tuple[float, np.ndarray]],
+    cfg: TrainConfig,
 ) -> None:
-    """One AdamW step per batch on params, in place; stops on a non-finite loss."""
+    """One AdamW step per batch on theta, in place; stops on a non-finite loss."""
+    opt = _AdamW(theta, cfg)
     for batch in batches:
-        loss, grads = loss_and_grad(batch)
+        loss, grad = loss_and_grad(batch)
         if not np.isfinite(loss):
             raise ArithmeticError(f"diverged at step {opt.t}")
-        opt.step(params, grads)
+        opt.step(theta, grad)
 
 
-def _flat_factors(pairs: dict[str, tuple[np.ndarray, np.ndarray]]) -> dict[str, np.ndarray]:
-    """{"<target>.A": A, "<target>.B": B} from {target: (A, B)}."""
-    return {f"{n}.{s}": arr for n, pair in pairs.items() for s, arr in zip("AB", pair)}
+def fit_adapter(
+    base: BaseParams, init: LoraAdapter, batches: Iterable[list[str]], cfg: TrainConfig
+) -> LoraAdapter:
+    """Train init's factors with one AdamW step per batch. Each gradient is
+    taken at the float32-rounded factors that the result stores."""
+    theta = init.flat()
 
+    def loss_and_grad(batch: list[str]) -> tuple[float, np.ndarray]:
+        return nll_and_grad(base, init.with_flat(theta), batch, cfg.max_seq_len)
 
-def _lora_params(adapter: LoraAdapter) -> dict[str, np.ndarray]:
-    """Float64 working copy of the factors, keyed like _flat_factors."""
-    return {k: v.astype(np.float64) for k, v in _flat_factors(adapter.factors).items()}
-
-
-def _lora_from_params(template: LoraAdapter, params: dict[str, np.ndarray]) -> LoraAdapter:
-    """Float32 adapter with the template's targets, rank and alpha."""
-    return LoraAdapter(
-        factors={
-            n: (params[f"{n}.A"].astype(np.float32), params[f"{n}.B"].astype(np.float32))
-            for n in template.factors
-        },
-        rank=template.rank,
-        alpha=template.alpha,
-    )
-
-
-def _lora_loss(
-    base: BaseParams, template: LoraAdapter, params: dict[str, np.ndarray], max_seq_len: int
-) -> Callable[[list[str]], tuple[float, dict[str, np.ndarray]]]:
-    """Batch loss and flat factor gradients at the current params."""
-
-    def loss_and_grad(batch: list[str]) -> tuple[float, dict[str, np.ndarray]]:
-        loss, grads = nll_and_grad(base, _lora_from_params(template, params), batch, max_seq_len)
-        return loss, _flat_factors(grads)
-
-    return loss_and_grad
+    _fit(theta, batches, loss_and_grad, cfg)
+    return init.with_flat(theta)
 
 
 def train_adapter(
@@ -444,11 +462,8 @@ def train_adapter(
     """Train a fresh adapter with AdamW over shuffled seeded minibatches."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    adapter = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed, targets=targets)
-    params = _lora_params(adapter)
-    loss_and_grad = _lora_loss(base, adapter, params, cfg.max_seq_len)
-    _fit(params, _minibatches(docs, cfg), loss_and_grad, _AdamW(params, cfg))
-    return _lora_from_params(adapter, params)
+    init = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed, targets=targets)
+    return fit_adapter(base, init, _minibatches(docs, cfg), cfg)
 
 
 def train_base(
@@ -457,14 +472,16 @@ def train_base(
     """Full-parameter pre-training of a base model with AdamW."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    base = BaseParams.init_random(vocab, hidden, cfg.seed)
-    params = {name: getattr(base, name).astype(np.float64) for name in DENSE_NAMES}
+    init = [getattr(BaseParams.init_random(vocab, hidden, cfg.seed), n) for n in DENSE_NAMES]
+    theta = _ravel(init)
+    weights = dict(zip(DENSE_NAMES, _unravel(theta, init)))  # views of theta
 
-    def loss_and_grad(batch: list[str]) -> tuple[float, dict[str, np.ndarray]]:
-        return _backward(params, _pair_counts(vocab, batch, cfg.max_seq_len))
+    def loss_and_grad(batch: list[str]) -> tuple[float, np.ndarray]:
+        nll, grads = _backward(weights, _pair_counts(vocab, batch, cfg.max_seq_len))
+        return nll, _ravel(grads[n] for n in DENSE_NAMES)
 
-    _fit(params, _minibatches(docs, cfg), loss_and_grad, _AdamW(params, cfg))
-    return BaseParams(vocab=vocab, **{n: params[n].astype(np.float32) for n in DENSE_NAMES})
+    _fit(theta, _minibatches(docs, cfg), loss_and_grad, cfg)
+    return BaseParams(vocab=vocab, **{n: w.astype(np.float32) for n, w in weights.items()})
 
 
 def perplexity(
@@ -491,8 +508,8 @@ def generate(
         raise ValueError("n_tokens must be >= 0")
     rng = np.random.default_rng(seed)
     table = _prob_table(base, adapter)
+    token = int(np.append(0, base.vocab.encode(prompt))[-1])  # BOS if empty
     out = prompt
-    token = base.vocab.index(prompt[-1]) if prompt else 0
     for _ in range(n_tokens):
         row = table[token]
         token = int(rng.choice(base.vocab.size, p=row / row.sum()))

@@ -91,6 +91,17 @@ def test_batched_embed_matches_per_gram_loop(orders, dim, texts):
         assert np.array_equal(embed_corpus(cfg, texts), np.stack(refs))
 
 
+def test_call_local_codes_match_bucket_sign_on_non_ascii():
+    # grams of 2-, 3- and 4-byte UTF-8 characters go through the copied
+    # keyed hasher of one call; bucket_sign hashes each one afresh
+    texts = ["héllo wörld", "日本語のテキスト", "a\U0001F600b\U0001F601c", "ÿ\u0100\uffff\U0010FFFF"]
+    cfg = EmbedderConfig(dim=16, ngram_orders=(1, 2, 3), hash_seed=7)
+    got = embed_corpus(cfg, texts)
+    for row, text in zip(got, texts):
+        assert np.array_equal(row, reference_embed(cfg, text))
+        assert np.array_equal(embed(cfg, text), row)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(alphabet=string.printable, min_size=1, max_size=40))
 def test_unit_norm_property(text):

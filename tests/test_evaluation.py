@@ -7,7 +7,6 @@ from expertmerge.config import EvalProtocol
 from expertmerge.embedding import EmbedderConfig, embed_corpus
 from expertmerge.evaluation import (
     PropositionProbe,
-    centroid_vs_sum_selection,
     diagonal_rowmin_fraction,
     ensemble_perplexity,
     expert_cluster_matrix,
@@ -154,24 +153,6 @@ def test_pass_at_n_wrong_cluster_counted():
     assert pass_at_n(centroids, samples, [2]) == [(2, 1.0)]
     with pytest.raises(ValueError):
         pass_at_n(centroids, samples, [3])
-
-
-def test_centroid_vs_sum_can_disagree():
-    # 1-d counterexample: the centroid-nearest cluster differs from the
-    # summed-distance-nearest cluster
-    x = np.array([[-1.0], [0.0], [0.0], [1.0], [-1.0], [1.0]])
-    assignment = make_assignment([0, 0, 1, 1, 2, 2])
-    centroid_pick, sum_pick = centroid_vs_sum_selection(np.array([0.0]), x, assignment)
-    assert centroid_pick == 2
-    assert sum_pick == 0
-    assert centroid_pick != sum_pick
-
-
-def test_centroid_vs_sum_agree_when_balanced():
-    x = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    assignment = make_assignment([0, 0, 1, 1])
-    picks = centroid_vs_sum_selection(np.array([0.9, 0.1]), x, assignment)
-    assert picks == (0, 0)
 
 
 def probe_setup():

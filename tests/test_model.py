@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,26 @@ def test_vocab_roundtrip(tiny_vocab):
 def test_vocab_oov(tiny_vocab):
     with pytest.raises(ValueError, match="out of vocabulary"):
         tiny_vocab.encode("z")
+
+
+def test_vocab_encode_by_code_point(tiny_vocab):
+    assert tiny_vocab.encode("").dtype == np.int64
+    assert tiny_vocab.encode("").size == 0
+    text = lm.BOS + "cab" + lm.EOS
+    assert tiny_vocab.encode(text).tolist() == [tiny_vocab.symbols.index(ch) for ch in text]
+    # the first bad character is named: past the largest symbol, astral,
+    # a lone surrogate, and one below the largest symbol
+    for text, bad in (
+        ("ab\uffffc", "\uffff"),
+        ("a\U0001F600b", "\U0001F600"),
+        ("c\ud800", "\ud800"),
+        ("abzy", "z"),
+        ("a b", " "),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"out of vocabulary: {bad!r}")):
+            tiny_vocab.encode(text)
+    astral = lm.Vocab.from_corpus(["a\U0001F600"])
+    assert astral.encode("\U0001F600a").tolist() == [3, 2]
 
 
 def test_vocab_validation():
@@ -53,16 +75,30 @@ def test_forward_sums_to_one(tiny_base):
         assert (probs >= 0).all()
 
 
+def test_prompt_validated_whole(tiny_base):
+    # a bad character anywhere in the prompt fails, not only the last one
+    with pytest.raises(ValueError, match="out of vocabulary: 'é'"):
+        lm.forward(tiny_base, None, "abéZc")
+    with pytest.raises(ValueError, match="out of vocabulary: 'é'"):
+        lm.generate(tiny_base, None, "abéZc", 5, seed=0)
+    # an in-vocabulary prompt is still read through its last character
+    assert np.array_equal(lm.forward(tiny_base, None, "abc"), lm.forward(tiny_base, None, "c"))
+    assert lm.generate(tiny_base, None, "abc", 12, seed=3) == "ab" + lm.generate(
+        tiny_base, None, "c", 12, seed=3
+    )
+
+
 def test_forward_max_seq(tiny_base):
     probs = lm.forward(tiny_base, None, "abcabcabc")
     assert probs.shape == (tiny_base.vocab.size,)
 
 
 def finite_difference_grads(base, adapter, docs, eps=1e-5):
-    """Central differences over every adapter coordinate (oracle)."""
-    grads = {}
-    for name, (a, b) in adapter.factors.items():
-        for label, mat in (("A", a), ("B", b)):
+    """Central differences over every adapter coordinate (oracle), in the
+    adapter.flat() layout."""
+    grads = []
+    for pair in adapter.factors.values():
+        for mat in pair:
             g = np.zeros(mat.shape, dtype=np.float64)
             for idx in np.ndindex(mat.shape):
                 original = mat[idx]
@@ -76,19 +112,13 @@ def finite_difference_grads(base, adapter, docs, eps=1e-5):
                 lo = np.log(lm.perplexity(base, adapter, docs))
                 mat[idx] = original
                 g[idx] = (hi - lo) / (hi_val - lo_val)
-            grads.setdefault(name, {})[label] = g
-    return grads
+            grads.append(g.ravel())
+    return np.concatenate(grads)
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for name in analytic:
-        ga, gb = analytic[name]
-        for label, g in (("A", ga), ("B", gb)):
-            ref = numeric[name][label]
-            denom = np.maximum(np.abs(ref), 1e-6)
-            worst = max(worst, float(np.max(np.abs(g - ref) / denom)))
-    return worst
+    denom = np.maximum(np.abs(numeric), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def test_gradients_match_finite_differences():
@@ -165,6 +195,153 @@ def test_train_diverged_reported(tiny_base, monkeypatch):
         lm.train_adapter(tiny_base, ["abc"], cfg)
 
 
+def test_flat_layout_roundtrip():
+    _, adapter, _ = random_model(0)
+    theta = adapter.flat()
+    pieces = [x for pair in adapter.factors.values() for x in pair]
+    assert theta.dtype == np.float64
+    assert np.array_equal(theta, np.concatenate([x.ravel() for x in pieces]))
+    back = adapter.with_flat(theta)
+    assert (back.rank, back.alpha, list(back.factors)) == (
+        adapter.rank,
+        adapter.alpha,
+        list(adapter.factors),
+    )
+    for got, want in zip((x for pair in back.factors.values() for x in pair), pieces):
+        assert got.dtype == np.float32
+        assert np.array_equal(got, want)
+
+
+def test_with_flat_validation():
+    _, adapter, _ = random_model(1)
+    theta = adapter.flat()
+    for bad in (theta[:-1], np.append(theta, 0.0), theta[None, :]):
+        with pytest.raises(ValueError, match="theta must have shape"):
+            adapter.with_flat(bad)
+    for value in (np.nan, np.inf):
+        broken = theta.copy()
+        broken[3] = value
+        with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
+            adapter.with_flat(broken)
+
+
+# The per-array dict AdamW that the one-vector optimiser replaced, kept as
+# the oracle: every training loop must reproduce it bit for bit.
+
+
+def reference_fit(params, batches, loss_and_grad, cfg):
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(x) for k, x in params.items()}
+    for t, batch in enumerate(batches, start=1):
+        _, grads = loss_and_grad(batch)
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            params[k] -= cfg.learning_rate * (
+                m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * params[k]
+            )
+    return m, v
+
+
+def test_adamw_one_vector_matches_dict():
+    # the float64 state is compared directly: a reordered rounding in the
+    # moments is mostly absorbed by the time it reaches theta
+    rng = np.random.default_rng(0)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 2)}
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    theta = np.concatenate([x.ravel() for x in params.values()])
+    grads = [{k: rng.standard_normal(s) for k, s in shapes.items()} for _ in range(50)]
+    cfg = lm.TrainConfig(learning_rate=1e-2, weight_decay=0.1)
+    m, v = reference_fit(params, grads, lambda g: (0.0, g), cfg)
+    opt = lm._AdamW(theta, cfg)
+    for g in grads:
+        opt.step(theta, np.concatenate([x.ravel() for x in g.values()]))
+    for got, want in ((theta, params), (opt.m, m), (opt.v, v)):
+        assert np.array_equal(got, np.concatenate([x.ravel() for x in want.values()]))
+
+
+def reference_fit_adapter(base, init, batches, cfg):
+    params = {
+        (n, s): x.astype(np.float64) for n, pair in init.factors.items() for s, x in zip("AB", pair)
+    }
+
+    def rounded():
+        factors = {
+            n: (params[n, "A"].astype(np.float32), params[n, "B"].astype(np.float32))
+            for n in init.factors
+        }
+        return lm.LoraAdapter(factors=factors, rank=init.rank, alpha=init.alpha)
+
+    def loss_and_grad(batch):
+        adapter = rounded()
+        weights = lm._effective_weights(base, adapter)
+        nll, dense = lm._backward(weights, lm._pair_counts(base.vocab, batch, cfg.max_seq_len))
+        grads = {}
+        for n, (a, b) in adapter.factors.items():
+            grads[n, "A"] = adapter.scale * (b.astype(np.float64).T @ dense[n])
+            grads[n, "B"] = adapter.scale * (dense[n] @ a.astype(np.float64).T)
+        return nll, grads
+
+    reference_fit(params, batches, loss_and_grad, cfg)
+    return rounded()
+
+
+def assert_same_adapter(got, want):
+    assert list(got.factors) == list(want.factors)
+    for (ga, gb), (wa, wb) in zip(got.factors.values(), want.factors.values()):
+        assert np.array_equal(ga, wa)
+        assert np.array_equal(gb, wb)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_train_adapter_matches_dict_adamw(seed):
+    base, _, docs = random_model(seed)
+    cfg = lm.TrainConfig(learning_rate=2e-2, batch_size=2, epochs=3, max_seq_len=12, seed=seed)
+    targets = lm.TARGET_NAMES[seed:]
+    got = lm.train_adapter(base, docs, cfg, rank=2, alpha=3.0, targets=targets)
+    init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed, targets=targets)
+    assert_same_adapter(got, reference_fit_adapter(base, init, lm._minibatches(docs, cfg), cfg))
+    assert any(b.any() for _, b in got.factors.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ttt_adapt_matches_dict_adamw(seed):
+    from expertmerge.evaluation import ttt_adapt
+
+    base, _, _ = random_model(seed)
+    rng = np.random.default_rng(seed)
+    docs = ["".join(rng.choice(list("abcdef"), size=int(rng.integers(3, 20)))) for _ in range(9)]
+    embs = rng.standard_normal((len(docs), 6)).astype(np.float32)
+    query = rng.standard_normal(6).astype(np.float32)
+    cfg = lm.TrainConfig(learning_rate=2e-2, batch_size=1, epochs=1, seed=seed)
+    got = ttt_adapt(base, query, embs, docs, 5, cfg, rank=2, alpha=3.0)
+    sims = embs.astype(np.float64) @ query.astype(np.float64)
+    order = np.lexsort((np.arange(len(sims)), -sims))[:5]
+    init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
+    assert_same_adapter(got, reference_fit_adapter(base, init, ([docs[i]] for i in order), cfg))
+
+
+@pytest.mark.parametrize("hidden", [5, 8])
+def test_train_base_matches_dict_adamw(hidden):
+    vocab = lm.Vocab.from_corpus(["abcdef"])
+    docs = ["abcabcdef", "fedcba", "aabbcc", "defdef", "c"]
+    cfg = lm.TrainConfig(learning_rate=1e-2, batch_size=2, epochs=3, max_seq_len=7, seed=hidden)
+    got = lm.train_base(vocab, docs, cfg, hidden=hidden)
+    init = lm.BaseParams.init_random(vocab, hidden, cfg.seed)
+    params = {n: getattr(init, n).astype(np.float64) for n in lm.DENSE_NAMES}
+
+    def loss_and_grad(batch):
+        return lm._backward(params, lm._pair_counts(vocab, batch, cfg.max_seq_len))
+
+    reference_fit(params, lm._minibatches(docs, cfg), loss_and_grad, cfg)
+    for n in lm.DENSE_NAMES:
+        assert np.array_equal(getattr(got, n), params[n].astype(np.float32))
+        assert not np.array_equal(getattr(got, n), getattr(init, n))
+
+
 def test_perplexity_uniform_equals_vocab_size(tiny_vocab):
     base = zero_base(tiny_vocab)
     ppl = lm.perplexity(base, None, ["abc", "ba"])
@@ -217,7 +394,7 @@ def test_generate_greedy_when_deterministic(tiny_vocab):
     base.block0 = np.eye(4, dtype=np.float32)
     base.block1 = np.eye(4, dtype=np.float32)
     out = np.full((tiny_vocab.size, 4), -100.0, dtype=np.float32)
-    out[tiny_vocab.index("a")] = 100.0
+    out[tiny_vocab.symbols.index("a")] = 100.0
     base.out_proj = out
     for seed in (0, 1, 2):
         assert lm.generate(base, None, "b", 3, seed=seed) == "baaa"
@@ -295,7 +472,7 @@ def random_model(seed: int):
 def reference_log_probs(base, adapter, doc, eval_prefix_len=0, max_seq_len=100_000):
     """log p(target) at every scored position, one forward call each."""
     text = doc[:max_seq_len]
-    targets = [base.vocab.index(ch) for ch in text] + [1]  # EOS last
+    targets = [base.vocab.symbols.index(ch) for ch in text] + [1]  # EOS last
     return [
         float(np.log(lm.forward(base, adapter, text[:t])[targets[t]]))
         for t in range(eval_prefix_len, len(targets))
@@ -364,11 +541,13 @@ def test_nll_and_grad_match_per_token_reference(seed):
     assert nll == pytest.approx(-np.mean(logs), rel=1e-10)
     ppl = lm.perplexity(base, adapter, docs, max_seq_len=max_seq_len)
     assert np.log(ppl) == pytest.approx(ref_nll, rel=1e-10)
+    ref = []
     for name, (a, b) in adapter.factors.items():
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
-        ga, gb = grads[name]
-        assert rel_err(ga, adapter.scale * (b64.T @ ref_dense[name])) <= 1e-10
-        assert rel_err(gb, adapter.scale * (ref_dense[name] @ a64.T)) <= 1e-10
+        ref += [adapter.scale * (b64.T @ ref_dense[name]), adapter.scale * (ref_dense[name] @ a64.T)]
+    assert grads.shape == adapter.flat().shape
+    for got, want in zip(np.split(grads, np.cumsum([r.size for r in ref])[:-1]), ref):
+        assert rel_err(got, want.ravel()) <= 1e-10
     # the same backward trains the base, embedding included
     weights = lm._effective_weights(base, adapter)
     counts = lm._pair_counts(base.vocab, docs, max_seq_len)
@@ -391,7 +570,7 @@ def test_ensemble_perplexity_matches_per_token_reference(seed):
         logs = []
         for doc in docs:
             text = doc
-            targets = [base.vocab.index(ch) for ch in text] + [1]
+            targets = [base.vocab.symbols.index(ch) for ch in text] + [1]
             for t in range(eval_prefix_len, len(targets)):
                 mix = sum(
                     w * lm.forward(base, adapters[k], text[:t])
