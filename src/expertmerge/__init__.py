@@ -2,7 +2,7 @@
 character-level language model."""
 
 from .config import EvalProtocol, RunConfig
-from .embedding import EmbedderConfig, cosine, embed
+from .embedding import EmbedderConfig, embed
 from .model import BaseParams, LoraAdapter, TrainConfig, Vocab
 from .routing import MergeWeights, RoutingConfig, sparse_softmax
 
@@ -16,7 +16,6 @@ __all__ = [
     "RunConfig",
     "TrainConfig",
     "Vocab",
-    "cosine",
     "embed",
     "sparse_softmax",
 ]

@@ -15,6 +15,7 @@ an adapters/ subdirectory next to it.
 from __future__ import annotations
 
 import hashlib
+import re
 import statistics
 import struct
 import time
@@ -210,30 +211,27 @@ def save_manifest(catalog: ExpertCatalog) -> Path:
     return path
 
 
+HEADER_KEYS = ("catalog_version", "embedder_fingerprint", "base_fingerprint", "num_experts")
+CHECKSUM_HEX = re.compile(r"[0-9a-f]{16}")
+CENTROID_NORM_TOL = 1e-5
+
+
 def load_catalog(root: str | Path) -> ExpertCatalog:
+    """Read and check the manifest: every header and record key present,
+    every field parsed, and the centroids one finite (K, d) matrix of rows
+    within CENTROID_NORM_TOL of unit norm. Any fault raises ValueError
+    naming the manifest."""
     root = Path(root)
-    text = (root / MANIFEST_NAME).read_text(encoding="utf-8")
+    path = root / MANIFEST_NAME
+    text = path.read_text(encoding="utf-8")
     header: dict[str, str] = {}
-    records: list[ExpertRecord] = []
+    fields: list[dict[str, str]] = []
     current: dict[str, str] = {}
 
     def flush() -> None:
-        if not current:
-            return
-        centroid = np.array(
-            [np.float32(float(v)) for v in current["centroid"].split()], dtype=np.float32
-        )
-        records.append(
-            ExpertRecord(
-                expert_id=int(current["expert_id"]),
-                centroid=centroid,
-                cluster_size=int(current["cluster_size"]),
-                adapter_path=current["adapter_path"],
-                byte_size=int(current["byte_size"]),
-                checksum=current["checksum"],
-            )
-        )
-        current.clear()
+        if current:
+            fields.append(dict(current))
+            current.clear()
 
     for line in text.splitlines():
         line = line.strip()
@@ -245,20 +243,71 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
         value = value.strip()
         if key == "expert_id":
             flush()
-        if key in ("catalog_version", "embedder_fingerprint", "base_fingerprint", "num_experts"):
+        if key in HEADER_KEYS:
             header[key] = value
         else:
             current[key] = value
     flush()
-    catalog = ExpertCatalog(
-        root=root,
-        records=records,
-        embedder_fingerprint=header["embedder_fingerprint"],
-        base_fingerprint=bytes.fromhex(header["base_fingerprint"]),
-    )
-    if catalog.K != int(header["num_experts"]):
-        raise ValueError("manifest expert count does not match records")
-    return catalog
+
+    def bad(problem: str) -> ValueError:
+        return ValueError(f"manifest {path}: {problem}")
+
+    where = "header"
+    try:
+        version = int(header["catalog_version"])
+        num_experts = int(header["num_experts"])
+        embedder_fingerprint = header["embedder_fingerprint"]
+        base_fingerprint = bytes.fromhex(header["base_fingerprint"])
+        records = []
+        for i, rec in enumerate(fields):
+            where = f"record {i}"
+            records.append(
+                ExpertRecord(
+                    expert_id=int(rec["expert_id"]),
+                    centroid=np.array(
+                        [np.float32(float(v)) for v in rec["centroid"].split()],
+                        dtype=np.float32,
+                    ),
+                    cluster_size=int(rec["cluster_size"]),
+                    adapter_path=rec["adapter_path"],
+                    byte_size=int(rec["byte_size"]),
+                    checksum=rec["checksum"],
+                )
+            )
+    except KeyError as exc:
+        raise bad(f"{where} has no {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise bad(f"{where} has an unparsable field ({exc})") from exc
+    if version != FORMAT_VERSION:
+        raise bad(f"unsupported catalog version {version}")
+    if len(base_fingerprint) != 32:
+        raise bad("base_fingerprint is not 32 bytes")
+    if len(records) != num_experts:
+        raise bad(f"num_experts is {num_experts} but there are {len(records)} records")
+    if not records:
+        raise bad("no experts")
+    for rec in records:
+        if not CHECKSUM_HEX.fullmatch(rec.checksum):
+            raise bad(f"expert {rec.expert_id} checksum {rec.checksum!r} is not 16 hex digits")
+    if len({len(rec.centroid) for rec in records}) != 1:
+        raise bad("centroids differ in length")
+    centroids = np.stack([rec.centroid for rec in records])
+    if not np.isfinite(centroids).all():
+        raise bad("centroid has a non-finite entry")
+    norms = np.linalg.norm(centroids.astype(np.float64), axis=1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > CENTROID_NORM_TOL)
+    if off.size:
+        raise bad(f"centroid {off[0]} has norm {norms[off[0]]}, not 1")
+    try:
+        return ExpertCatalog(
+            root=root,
+            records=records,
+            embedder_fingerprint=embedder_fingerprint,
+            base_fingerprint=base_fingerprint,
+            _centroid_cache=centroids,
+        )
+    except ValueError as exc:
+        raise bad(str(exc)) from exc
 
 
 def save_base(base: lm.BaseParams, root: str | Path) -> None:

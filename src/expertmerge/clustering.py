@@ -1,7 +1,8 @@
 """Bisecting k-means over embedding vectors.
 
 Starts from one cluster and repeatedly splits the cluster with the
-largest diameter using seeded 2-means until K clusters exist. A split
+largest diameter using seeded 2-means until K clusters exist. Each
+cluster's diameter is computed once, when the cluster is made. A split
 that would leave a side below MIN_CLUSTER_SIZE is not kept: the next
 widest cluster is split instead, so an outlier document is never cut off
 on its own. Centroids are arithmetic means renormalized to unit length
@@ -62,14 +63,21 @@ def _pairwise_max_distance(points: np.ndarray) -> float:
     return float(np.sqrt(max(0.0, d2.max())))
 
 
+def _row_distances(points: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Euclidean distance of each row of `points` to `c`. The same ufuncs as
+    np.linalg.norm(points - c, axis=1), so the same bits, with one
+    temporary in place of three."""
+    diff = np.subtract(points, c)
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.add.reduce(diff, axis=1))
+
+
 def _diameter(points: np.ndarray) -> float:
     if len(points) <= 1:
         return 0.0
     if len(points) <= EXACT_DIAMETER_CAP:
         return _pairwise_max_distance(points)
-    mean = points.astype(np.float64).mean(axis=0)
-    dists = np.linalg.norm(points.astype(np.float64) - mean, axis=1)
-    return 2.0 * float(dists.max())
+    return 2.0 * float(_row_distances(points, points.mean(axis=0)).max())
 
 
 def cluster_diameter(
@@ -85,8 +93,8 @@ def cluster_diameter(
 
 
 def _two_means_labels(points: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    d0 = np.linalg.norm(points - c0, axis=1)
-    d1 = np.linalg.norm(points - c1, axis=1)
+    d0 = _row_distances(points, c0)
+    d1 = _row_distances(points, c1)
     # ties go to side 0 to keep the split deterministic
     return (d1 < d0).astype(np.int64)
 
@@ -114,8 +122,8 @@ def _two_means(points: np.ndarray, init: tuple[np.ndarray, np.ndarray]) -> tuple
 
 def _farthest_pair_init(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = points.mean(axis=0)
-    a = int(np.argmax(np.linalg.norm(points - mean, axis=1)))
-    b = int(np.argmax(np.linalg.norm(points - points[a], axis=1)))
+    a = int(np.argmax(_row_distances(points, mean)))
+    b = int(np.argmax(_row_distances(points, points[a])))
     return points[a].copy(), points[b].copy()
 
 
@@ -140,7 +148,7 @@ def _split_cluster(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         if labels.any() and not labels.all():
             return labels
         best_labels = np.zeros(len(points), dtype=np.int64)
-        far = int(np.argmax(np.linalg.norm(points - points.mean(axis=0), axis=1)))
+        far = int(np.argmax(_row_distances(points, points.mean(axis=0))))
         best_labels[far] = 1
     return best_labels
 
@@ -150,7 +158,7 @@ def _rebalance(points: np.ndarray, side: np.ndarray, sizes: list[int]) -> np.nda
     own; points join side 1 in order of how much nearer its mean they are."""
     c0 = points[side == 0].mean(axis=0)
     c1 = points[side == 1].mean(axis=0)
-    margin = np.linalg.norm(points - c0, axis=1) - np.linalg.norm(points - c1, axis=1)
+    margin = _row_distances(points, c0) - _row_distances(points, c1)
     n1 = min(sizes, key=lambda a: abs(a - int(side.sum())))
     out = np.zeros(len(points), dtype=np.int64)
     out[np.lexsort((np.arange(len(points)), -margin))[:n1]] = 1
@@ -175,6 +183,7 @@ def bisecting_kmeans(embeddings: np.ndarray, K: int, seed: int) -> ClusterAssign
     m = MIN_CLUSTER_SIZE if K * MIN_CLUSTER_SIZE <= n else 1
     rng = np.random.default_rng(seed)
     clusters: list[np.ndarray] = [np.arange(n)]
+    widths = [_diameter(x[clusters[0]])]  # widths[i] is the diameter of clusters[i]
     while len(clusters) < K:
         # clusters of size m that could still be formed beyond the K needed
         spare = sum(len(idx) // m for idx in clusters) - K
@@ -186,7 +195,7 @@ def bisecting_kmeans(embeddings: np.ndarray, K: int, seed: int) -> ClusterAssign
         # widest first; ties keep the lower position
         candidates = sorted(
             (i for i, idx in enumerate(clusters) if len(idx) >= 2 * m),
-            key=lambda i: -_diameter(x[clusters[i]]),
+            key=lambda i: -widths[i],
         )
         if not candidates:
             raise ValueError(f"no cluster can be split into sides of {m} or more")
@@ -202,9 +211,9 @@ def bisecting_kmeans(embeddings: np.ndarray, K: int, seed: int) -> ClusterAssign
             idx = clusters[target]
             sizes = [a for a in range(len(idx) + 1) if allowed(len(idx), a)]
             side = _rebalance(x[idx], side, sizes)
-        clusters.pop(target)
-        clusters.insert(target, idx[side == 0])
-        clusters.insert(target + 1, idx[side == 1])
+        halves = [idx[side == 0], idx[side == 1]]
+        clusters[target : target + 1] = halves
+        widths[target : target + 1] = [_diameter(x[h]) for h in halves]
     labels = np.empty(n, dtype=np.int64)
     for cid, idx in enumerate(clusters):
         labels[idx] = cid

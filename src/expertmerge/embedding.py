@@ -100,9 +100,3 @@ def embed(config: EmbedderConfig, text: str) -> np.ndarray:
 def embed_corpus(config: EmbedderConfig, docs: list[str]) -> np.ndarray:
     """Stack embeddings of all documents into an (n, dim) float32 matrix."""
     return _embed_texts(config, docs)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product of two unit vectors, clipped to [-1, 1]."""
-    dot = float(np.dot(a.astype(np.float64), b.astype(np.float64)))
-    return min(1.0, max(-1.0, dot))

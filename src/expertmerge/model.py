@@ -82,9 +82,6 @@ class Vocab:
             raise ValueError(f"out of vocabulary: {text[int(np.argmax(ids < 0))]!r}")
         return ids
 
-    def decode(self, ids: np.ndarray) -> str:
-        return "".join(self.symbols[i] for i in ids)
-
 
 @dataclass
 class BaseParams:

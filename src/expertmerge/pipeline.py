@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,11 +37,29 @@ class BuildResult:
 
 
 def build_catalog(docs: list[str], cfg: RunConfig, out_dir: str | Path) -> BuildResult:
+    """Build the catalog into `out_dir`, which must be new or empty. The
+    build writes into a temporary directory beside it and renames that into
+    place at the end, so a build that fails leaves no output behind."""
     out_dir = Path(out_dir)
-    (out_dir / store.ADAPTER_DIR).mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise ValueError(f"output directory {out_dir} exists and is not empty")
     if cfg.n_clusters > len(docs):
         raise ValueError(f"K > n: {cfg.n_clusters} clusters for {len(docs)} documents")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+    try:
+        # a subdirectory, not the mkdtemp one, so it gets the usual permissions
+        work = staging / "catalog"
+        result = _build_into(work, docs, cfg)
+        os.replace(work, out_dir)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    result.catalog.root = out_dir
+    return result
 
+
+def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
+    (work / store.ADAPTER_DIR).mkdir(parents=True)
     embeddings = embedding.embed_corpus(cfg.embedder, docs)
     assignment = clustering.bisecting_kmeans(embeddings, cfg.n_clusters, cfg.seed)
     split = split_holdout(len(docs), assignment, cfg.protocol)
@@ -52,7 +73,7 @@ def build_catalog(docs: list[str], cfg: RunConfig, out_dir: str | Path) -> Build
         vocab, [train_docs[i] for i in sorted(pre_idx)], cfg.base_train, cfg.hidden
     )
     fingerprint = base.fingerprint()
-    store.save_base(base, out_dir)
+    store.save_base(base, work)
 
     records: list[store.ExpertRecord] = []
     train_assignment = ClusterAssignment(assignment.labels[split.train_idx], assignment.K)
@@ -64,8 +85,8 @@ def build_catalog(docs: list[str], cfg: RunConfig, out_dir: str | Path) -> Build
             base, cluster_docs, expert_cfg, rank=cfg.lora_rank, alpha=cfg.lora_alpha
         )
         rel_path = f"{store.ADAPTER_DIR}/expert_{k:04d}.bin"
-        byte_size = store.save_adapter(adapter, out_dir / rel_path, fingerprint)
-        blob = (out_dir / rel_path).read_bytes()
+        byte_size = store.save_adapter(adapter, work / rel_path, fingerprint)
+        blob = (work / rel_path).read_bytes()
         records.append(
             store.ExpertRecord(
                 expert_id=k,
@@ -78,16 +99,16 @@ def build_catalog(docs: list[str], cfg: RunConfig, out_dir: str | Path) -> Build
         )
 
     cat = store.ExpertCatalog(
-        root=out_dir,
+        root=work,
         records=records,
         embedder_fingerprint=cfg.embedder.fingerprint(),
         base_fingerprint=fingerprint,
     )
     store.save_manifest(cat)
-    cfg.save(out_dir / "config.yaml")
-    _write_assignment(out_dir / "assignment.txt", assignment)
-    np.save(out_dir / EMBEDDINGS_NAME, embeddings, allow_pickle=False)
-    (out_dir / CORPUS_DIGEST_NAME).write_text(_corpus_digest(docs) + "\n", encoding="utf-8")
+    cfg.save(work / "config.yaml")
+    _write_assignment(work / "assignment.txt", assignment)
+    np.save(work / EMBEDDINGS_NAME, embeddings, allow_pickle=False)
+    (work / CORPUS_DIGEST_NAME).write_text(_corpus_digest(docs) + "\n", encoding="utf-8")
     return BuildResult(
         catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
     )

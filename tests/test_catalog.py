@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -174,6 +175,71 @@ def test_manifest_roundtrip(tmp_path, small_base):
         assert got.checksum == orig.checksum
         # centroids round-trip bit-exactly through the text manifest
         assert np.array_equal(got.centroid, orig.centroid)
+    # the load stacked and checked the centroid matrix once; routing reuses it
+    assert loaded._centroid_cache is not None
+    assert np.array_equal(loaded.centroid_matrix(), catalog.centroid_matrix())
+
+
+def _first_centroid(text: str, edit) -> str:
+    """`text` with the first centroid's values replaced by edit(values)."""
+    head, _, rest = text.partition("centroid: ")
+    line, _, tail = rest.partition("\n")
+    return head + "centroid: " + " ".join(edit(line.split())) + "\n" + tail
+
+
+def _drop_line(key: str):
+    return lambda text: re.sub(rf"^{key}: .*\n", "", text, count=1, flags=re.M)
+
+
+def _set_field(key: str, value: str):
+    return lambda text: re.sub(rf"^{key}: .*$", f"{key}: {value}", text, count=1, flags=re.M)
+
+
+BAD_MANIFESTS = {
+    "no num_experts": (_drop_line("num_experts"), "header has no num_experts"),
+    "no base_fingerprint": (_drop_line("base_fingerprint"), "header has no base_fingerprint"),
+    "no checksum": (_drop_line("checksum"), "record 0 has no checksum"),
+    "no centroid": (_drop_line("centroid"), "record 0 has no centroid"),
+    "nan centroid entry": (
+        lambda t: _first_centroid(t, lambda v: ["nan"] + v[1:]),
+        "non-finite",
+    ),
+    "inf centroid entry": (
+        lambda t: _first_centroid(t, lambda v: v[:-1] + ["inf"]),
+        "non-finite",
+    ),
+    "short centroid": (lambda t: _first_centroid(t, lambda v: v[:-1]), "differ in length"),
+    "empty centroid": (lambda t: _first_centroid(t, lambda v: []), "differ in length"),
+    "centroid not unit norm": (
+        lambda t: _first_centroid(t, lambda v: [repr(1.001 * float(x)) for x in v]),
+        "centroid 0 has norm",
+    ),
+    "centroid entry not a number": (
+        lambda t: _first_centroid(t, lambda v: ["0.1x"] + v[1:]),
+        "unparsable",
+    ),
+    "byte_size not an int": (_set_field("byte_size", "12x"), "unparsable"),
+    "expert_id not an int": (_set_field("expert_id", "one"), "unparsable"),
+    "num_experts not an int": (_set_field("num_experts", "4.0"), "unparsable"),
+    "base_fingerprint not hex": (_set_field("base_fingerprint", "zz"), "unparsable"),
+    "base_fingerprint short": (_set_field("base_fingerprint", "ab" * 31), "not 32 bytes"),
+    "checksum not hex": (_set_field("checksum", "x" * 16), "not 16 hex digits"),
+    "other catalog version": (_set_field("catalog_version", "2"), "unsupported catalog version"),
+    "count mismatch": (_set_field("num_experts", "5"), "num_experts is 5"),
+    "ids not dense": (_set_field("expert_id", "7"), "dense"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_load_catalog_checks_manifest(tmp_path, small_base, case):
+    catalog = build_catalog_dir(tmp_path, small_base, 4, ["abcd", "efgh"])
+    edit, message = BAD_MANIFESTS[case]
+    manifest = catalog.root / cat.MANIFEST_NAME
+    text = manifest.read_text()
+    manifest.write_text(edit(text))
+    assert manifest.read_text() != text
+    with pytest.raises(ValueError, match=rf"manifest .*manifest\.txt: .*{message}"):
+        cat.load_catalog(catalog.root)
 
 
 def test_catalog_dense_id_validation(tmp_path, small_base):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -10,12 +11,19 @@ from conftest import random_unit_vectors
 from expertmerge.clustering import (
     MIN_CLUSTER_SIZE,
     ClusterAssignment,
+    _diameter,
+    _rebalance,
+    _row_distances,
+    _split_cluster,
     bisecting_kmeans,
     cluster_diameter,
     compute_centroids,
     elbow_curve,
     kmeans_loss,
 )
+from expertmerge.config import RunConfig
+from expertmerge.corpus import generate_corpus
+from expertmerge.embedding import embed_corpus
 
 
 def blobs_around(axes: list[int], per_blob: int, d: int, seed: int) -> np.ndarray:
@@ -190,17 +198,20 @@ def test_assignment_validation():
         ClusterAssignment(labels=np.array([0, 0]), K=2)
 
 
+@functools.lru_cache(maxsize=2)
+def corpus_embeddings(seed: int) -> tuple[np.ndarray, int, int]:
+    """(embeddings, K, clustering seed) of the default corpus at `seed`."""
+    cfg = RunConfig().with_overrides({"corpus.seed": seed})
+    docs, _, _ = generate_corpus(cfg.corpus)
+    return embed_corpus(cfg.embedder, docs), cfg.n_clusters, cfg.seed
+
+
 def test_seed15_corpus_clusters_reach_minimum():
     # at this corpus seed the widest cluster's 2-means split once cut a
     # single outlier document off, which left nothing to hold out
-    from expertmerge.config import RunConfig
-    from expertmerge.corpus import generate_corpus
-    from expertmerge.embedding import embed_corpus
-
-    cfg = RunConfig().with_overrides({"corpus.seed": 15})
-    docs, _, _ = generate_corpus(cfg.corpus)
-    a = bisecting_kmeans(embed_corpus(cfg.embedder, docs), cfg.n_clusters, cfg.seed)
-    assert a.K == cfg.n_clusters
+    x, K, seed = corpus_embeddings(15)
+    a = bisecting_kmeans(x, K, seed)
+    assert a.K == K
     assert np.bincount(a.labels).min() >= MIN_CLUSTER_SIZE
 
 
@@ -228,3 +239,109 @@ def test_min_cluster_size_property(x, data):
     a = bisecting_kmeans(x, K, seed)
     assert a.K == K
     assert np.bincount(a.labels, minlength=K).min() >= MIN_CLUSTER_SIZE
+
+
+def reference_bisecting_kmeans(embeddings: np.ndarray, K: int, seed: int) -> ClusterAssignment:
+    """The bisecting loop as it was before widths were stored: every
+    cluster's diameter is computed again at every split (test oracle)."""
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = len(x)
+    m = MIN_CLUSTER_SIZE if K * MIN_CLUSTER_SIZE <= n else 1
+    rng = np.random.default_rng(seed)
+    clusters: list[np.ndarray] = [np.arange(n)]
+    while len(clusters) < K:
+        spare = sum(len(idx) // m for idx in clusters) - K
+
+        def allowed(size: int, n1: int) -> bool:
+            room = n1 // m + (size - n1) // m - size // m
+            return m <= n1 <= size - m and spare + room >= 0
+
+        candidates = sorted(
+            (i for i, idx in enumerate(clusters) if len(idx) >= 2 * m),
+            key=lambda i: -_diameter(x[clusters[i]]),
+        )
+        if not candidates:
+            raise ValueError(f"no cluster can be split into sides of {m} or more")
+        widest = None
+        for target in candidates:
+            idx = clusters[target]
+            side = _split_cluster(x[idx], rng)
+            if allowed(len(idx), int(side.sum())):
+                break
+            widest = widest or (target, side)
+        else:
+            target, side = widest
+            idx = clusters[target]
+            sizes = [a for a in range(len(idx) + 1) if allowed(len(idx), a)]
+            side = _rebalance(x[idx], side, sizes)
+        clusters.pop(target)
+        clusters.insert(target, idx[side == 0])
+        clusters.insert(target + 1, idx[side == 1])
+    labels = np.empty(n, dtype=np.int64)
+    for cid, idx in enumerate(clusters):
+        labels[idx] = cid
+    return ClusterAssignment(labels=labels, K=K)
+
+
+def assert_matches_reference(x: np.ndarray, K: int, seed: int) -> None:
+    try:
+        expected = reference_bisecting_kmeans(x, K, seed).labels
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            bisecting_kmeans(x, K, seed)
+        return
+    assert np.array_equal(bisecting_kmeans(x, K, seed).labels, expected)
+
+
+@pytest.mark.parametrize("corpus_seed", [0, 15])
+def test_stored_widths_match_reference_on_corpus(corpus_seed):
+    assert_matches_reference(*corpus_embeddings(corpus_seed))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("corpus_seed", range(40))
+def test_stored_widths_match_reference_on_every_corpus_seed(corpus_seed):
+    assert_matches_reference(*corpus_embeddings(corpus_seed))
+
+
+@st.composite
+def small_data(draw) -> tuple[np.ndarray, int, int]:
+    """Rows drawn with repetition from a few distinct points, so that many
+    points coincide and some clusters cannot be split by 2-means."""
+    n = draw(st.integers(8, 60))
+    d = draw(st.integers(2, 8))
+    distinct = draw(
+        arrays(
+            np.float64,
+            (draw(st.integers(1, n)), d),
+            elements=st.sampled_from([-3.0, 0.0, 0.5, 2.0, 40.0])
+            | st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+        )
+    )
+    pick = draw(arrays(np.int64, n, elements=st.integers(0, len(distinct) - 1)))
+    return distinct[pick], draw(st.integers(1, n // 2)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_data())
+def test_stored_widths_match_reference_on_small_data(case):
+    assert_matches_reference(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 20), st.integers(1, 12)),
+    data=st.data(),
+)
+def test_row_distances_match_linalg_norm(shape, data):
+    # entries from 1e-150 to 1e150 in size, mixed within one array; squares
+    # and their sums stay finite and normal
+    scaled = st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(-150, 149),
+    )
+    points = data.draw(arrays(np.float64, shape, elements=scaled))
+    c = data.draw(arrays(np.float64, shape[1], elements=scaled))
+    assert np.array_equal(_row_distances(points, c), np.linalg.norm(points - c, axis=1))

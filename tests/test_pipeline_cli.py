@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from expertmerge import catalog as store
-from expertmerge import pipeline
+from expertmerge import embedding, pipeline
+from expertmerge import model as lm
 from expertmerge.catalog import bench_sweep
 from expertmerge.cli import main
 from expertmerge.config import EvalProtocol, RunConfig
@@ -80,6 +81,42 @@ def test_build_deterministic(tiny_corpus, tmp_path):
         ).read_bytes()
     for name in (pipeline.EMBEDDINGS_NAME, pipeline.CORPUS_DIGEST_NAME):
         assert (a.catalog.root / name).read_bytes() == (b.catalog.root / name).read_bytes()
+    assert a.catalog.root == tmp_path / "a"
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "a", tmp_path / "b"]
+
+
+def test_failed_build_leaves_nothing(tiny_corpus, tmp_path, monkeypatch):
+    docs, _, cfg = tiny_corpus
+    train_adapter = lm.train_adapter
+    calls = []
+
+    def fail_at_expert_3(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) == 4:
+            raise RuntimeError("expert 3 failed")
+        return train_adapter(*args, **kwargs)
+
+    monkeypatch.setattr(lm, "train_adapter", fail_at_expert_3)
+    with pytest.raises(RuntimeError, match="expert 3 failed"):
+        pipeline.build_catalog(docs, cfg, tmp_path / "catalog")
+    assert len(calls) == 4
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_build_refuses_non_empty_output(tiny_corpus, tmp_path, monkeypatch):
+    docs, _, cfg = tiny_corpus
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the build started")
+
+    monkeypatch.setattr(embedding, "embed_corpus", no_work)
+    (tmp_path / "keep.txt").write_text("kept")
+    with pytest.raises(ValueError, match="exists and is not empty"):
+        pipeline.build_catalog(docs, cfg, tmp_path)
+    with pytest.raises(ValueError, match="exists and is not empty"):
+        pipeline.build_catalog(docs, cfg, tmp_path / "keep.txt")
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+    assert (tmp_path / "keep.txt").read_text() == "kept"
 
 
 def test_build_k_too_large(tmp_path):
