@@ -34,10 +34,6 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.txt"
 ADAPTER_DIR = "adapters"
 
-# counts adapter files opened by load_adapter; tests use it to verify
-# that only active experts are ever read
-ADAPTER_READS = 0
-
 
 def _checksum64(payload: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
@@ -75,9 +71,7 @@ def load_adapter(
     """Read an adapter and verify its checksum; if given, also verify the
     base fingerprint and that the file matches its manifest record: its
     checksum equals `checksum` (hex) and its length equals `byte_size`."""
-    global ADAPTER_READS
     blob = Path(path).read_bytes()
-    ADAPTER_READS += 1
     if byte_size is not None and len(blob) != byte_size:
         raise ValueError(
             f"adapter {path} is {len(blob)} bytes, its manifest byte_size is {byte_size}"
@@ -104,6 +98,7 @@ def load_adapter(
     factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     rank = None
     alpha = None
+    rank_alpha = None  # the raw r and alpha fields of the first matrix
     try:  # a malformed length field points past the payload
         (count,) = struct.unpack_from("<I", payload, off)
         off += 4
@@ -116,7 +111,11 @@ def load_adapter(
             off += 12
             (a,) = struct.unpack_from("<f", payload, off)
             off += 4
-            rank, alpha = r, a
+            # every matrix repeats the adapter's rank and alpha; compare bits,
+            # so that a NaN alpha is left to LoraAdapter's own check
+            if rank_alpha is not None and payload[off - 8 : off] != rank_alpha:
+                raise ValueError(f"matrix {name!r} has another rank or alpha")
+            rank_alpha, rank, alpha = payload[off - 8 : off], r, a
             a_n = r * d_in
             b_n = d_out * r
             if off + 4 * (a_n + b_n) > len(payload):
@@ -184,6 +183,11 @@ def _fmt_floats(values: np.ndarray) -> str:
     # repr of the exact float64 value of each float32 entry round-trips
     # bit-exactly through text
     return " ".join(repr(float(v)) for v in values)
+
+
+def _parse_floats(text: str) -> np.ndarray:
+    # the inverse of _fmt_floats: parse as float64, then round to float32
+    return np.array(text.split(), dtype=np.float64).astype(np.float32)
 
 
 def save_manifest(catalog: ExpertCatalog) -> Path:
@@ -264,10 +268,7 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
             records.append(
                 ExpertRecord(
                     expert_id=int(rec["expert_id"]),
-                    centroid=np.array(
-                        [np.float32(float(v)) for v in rec["centroid"].split()],
-                        dtype=np.float32,
-                    ),
+                    centroid=_parse_floats(rec["centroid"]),
                     cluster_size=int(rec["cluster_size"]),
                     adapter_path=rec["adapter_path"],
                     byte_size=int(rec["byte_size"]),

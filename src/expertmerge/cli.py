@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import catalog as store, clustering, embedding, evaluation, model as lm, pipeline
+from . import catalog as store, clustering, embedding, evaluation, merging, model as lm
+from . import pipeline, routing
 from .config import RunConfig
 from .corpus import read_corpus
 from .evaluation import DEFAULT_METHODS, PropositionProbe
@@ -43,7 +42,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     docs = read_corpus(args.corpus)
     built = pipeline.load_built(docs, args.catalog)
-    cfg = RunConfig.load(Path(args.catalog) / "config.yaml")
     methods = tuple(args.methods.split(",")) if args.methods else DEFAULT_METHODS
     report = evaluation.run_table1(
         docs,
@@ -52,7 +50,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         built.split,
         built.base,
         built.catalog,
-        cfg,
+        built.cfg,
         methods=methods,
     )
     out_dir = Path(args.out)
@@ -66,7 +64,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     docs = read_corpus(args.corpus)
     built = pipeline.load_built(docs, args.catalog)
-    cfg = RunConfig.load(Path(args.catalog) / "config.yaml")
+    cfg = built.cfg
     taus = [float(t) for t in args.taus.split(",")]
     betas = [float(b) for b in args.betas.split(",")]
     query_doc = docs[built.split.test[0]]
@@ -81,18 +79,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    catalog_dir = Path(args.catalog)
-    cfg = RunConfig.load(catalog_dir / "config.yaml")
-    cat = store.load_catalog(catalog_dir)
-    base = store.load_base(catalog_dir)
-    from . import merging
+    cfg, cat, base = pipeline.open_catalog(args.catalog)
 
     if args.method == "base":
         text = lm.generate(base, None, args.prompt, args.n_tokens, args.seed)
     elif args.method == "merged":
         query = embedding.embed(cfg.embedder, args.prompt or "?")
         merged, _ = store.timed_route_merge(cat, query, cfg.routing)
-        text = lm.generate(merging.apply_merged(base, merged), None, args.prompt, args.n_tokens, args.seed)
+        adapted = merging.apply_merged(base, merged)
+        text = lm.generate(adapted, None, args.prompt, args.n_tokens, args.seed)
     elif args.method.startswith("expert-"):
         k = int(args.method.split("-", 1)[1])
         if not 0 <= k < cat.K:
@@ -122,9 +117,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
         prompt = docs[prompt_idx][:24]
         query = embedding.embed(cfg.embedder, prompt)
         sims = embs.astype(np.float64) @ query.astype(np.float64)
-        nn = np.argsort(-sims)[: probe.N]
+        nearest = routing.top_n(sims, 1)
         extra = rng.choice(len(docs), size=min(3, len(docs)), replace=False)
-        other = np.unique(np.concatenate(([nn[0]], extra)))
+        other = np.unique(np.concatenate((nearest, extra)))
         result = evaluation.proposition_probe(
             probe, base, prompt, docs, embs, other, cfg.embedder, seed=cfg.seed + trial
         )

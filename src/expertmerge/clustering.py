@@ -57,6 +57,9 @@ class CentroidSet:
 
 
 def _pairwise_max_distance(points: np.ndarray) -> float:
+    """Exact max pairwise Euclidean distance between the rows of `points`."""
+    if len(points) <= 1:
+        return 0.0
     x = points.astype(np.float64)
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
@@ -73,23 +76,9 @@ def _row_distances(points: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _diameter(points: np.ndarray) -> float:
-    if len(points) <= 1:
-        return 0.0
     if len(points) <= EXACT_DIAMETER_CAP:
         return _pairwise_max_distance(points)
     return 2.0 * float(_row_distances(points, points.mean(axis=0)).max())
-
-
-def cluster_diameter(
-    embeddings: np.ndarray, assignment: ClusterAssignment, cluster_id: int
-) -> float:
-    """Exact max pairwise Euclidean distance within one cluster."""
-    if cluster_id < 0 or cluster_id >= assignment.K:
-        raise ValueError(f"cluster id {cluster_id} out of range [0, {assignment.K})")
-    members = assignment.members(cluster_id)
-    if len(members) <= 1:
-        return 0.0
-    return _pairwise_max_distance(np.asarray(embeddings)[members])
 
 
 def _two_means_labels(points: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:

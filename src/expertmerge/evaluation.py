@@ -16,7 +16,7 @@ import numpy as np
 
 from . import embedding, merging, model as lm, routing
 from .catalog import ExpertCatalog, load_active, timed_route_merge
-from .clustering import MIN_CLUSTER_SIZE, ClusterAssignment
+from .clustering import MIN_CLUSTER_SIZE, ClusterAssignment, _pairwise_max_distance
 from .config import EvalProtocol, RunConfig
 from .routing import MergeWeights, RoutingConfig
 
@@ -76,8 +76,7 @@ def ttt_adapt(
     if N > len(corpus_docs):
         raise ValueError(f"N={N} exceeds corpus size {len(corpus_docs)}")
     sims = corpus_embeddings.astype(np.float64) @ np.asarray(query, dtype=np.float64)
-    order = np.lexsort((np.arange(len(sims)), -sims))[:N]
-    neighbors = [corpus_docs[i] for i in order]
+    neighbors = [corpus_docs[i] for i in routing.top_n(sims, N)]
 
     init = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
     return lm.fit_adapter(base, init, ([doc] for doc in neighbors), cfg)
@@ -110,8 +109,7 @@ def pass_at_n(
     c = centroids.astype(np.float64)
     ranks = []
     for emb, true_cluster in samples:
-        sims = c @ np.asarray(emb, dtype=np.float64)
-        order = np.lexsort((np.arange(K), -sims))
+        order = routing.top_n(c @ np.asarray(emb, dtype=np.float64), K)
         ranks.append(int(np.flatnonzero(order == true_cluster)[0]))
     ranks_arr = np.array(ranks)
     return [(n, float((ranks_arr < n).mean())) for n in N_list]
@@ -162,15 +160,6 @@ def _full_batch_gd(
     return init.with_flat(theta)
 
 
-def _embedding_diameter(embs: np.ndarray) -> float:
-    if len(embs) <= 1:
-        return 0.0
-    x = embs.astype(np.float64)
-    sq = (x * x).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * x @ x.T
-    return float(np.sqrt(max(0.0, d2.max())))
-
-
 def proposition_probe(
     probe: PropositionProbe,
     base: lm.BaseParams,
@@ -192,7 +181,7 @@ def proposition_probe(
     """
     query = embedding.embed(embedder_cfg, prompt)
     sims = corpus_embeddings.astype(np.float64) @ query.astype(np.float64)
-    nn_idx = np.lexsort((np.arange(len(sims)), -sims))[: probe.N]
+    nn_idx = routing.top_n(sims, probe.N)
     other_idx = np.asarray(other_idx, dtype=np.int64)
     if not np.intersect1d(nn_idx, other_idx).size:
         raise ValueError("proposition precondition violated: sets do not intersect")
@@ -207,8 +196,8 @@ def proposition_probe(
     p_other = lm.forward(base, theta_other, prompt)
     lhs = float(np.linalg.norm(p_nn.astype(np.float64) - p_other.astype(np.float64)))
 
-    diam_nn = _embedding_diameter(corpus_embeddings[nn_idx])
-    diam_other = _embedding_diameter(corpus_embeddings[other_idx])
+    diam_nn = _pairwise_max_distance(corpus_embeddings[nn_idx])
+    diam_other = _pairwise_max_distance(corpus_embeddings[other_idx])
 
     if probe.G_hat is not None:
         g_hat = probe.G_hat
@@ -376,10 +365,10 @@ def run_table1(
             ppls.append(lm.perplexity(adapted, None, [docs[i]], epl))
         report.perplexities[label] = per_doc_mean(ppls)
 
-    def ensemble_ppl(n: int, label: str) -> None:
+    def ensemble_ppl(route_cfg: RoutingConfig, label: str) -> None:
         ppls = []
         for (k, i), query in zip(test_pairs, queries):
-            weights = routing.route_fixed_n(query, catalog, n, cfg.routing.beta)
+            weights = routing.route(query, catalog, route_cfg)
             ppls.append(
                 ensemble_perplexity(base, weights, all_adapters, [docs[i]], epl)
             )
@@ -396,7 +385,7 @@ def run_table1(
     for n in (3, 10):
         label = f"ensemble_fixed_{n}"
         if label in methods:
-            ensemble_ppl(min(n, K), label)
+            ensemble_ppl(dataclasses.replace(cfg.routing, fixed_n=min(n, K)), label)
 
     if "ttt" in methods:
         train_embs = embeddings[split.train_idx]

@@ -22,17 +22,6 @@ EOS = "\x03"
 # names of the matrices an adapter may target, in storage order
 TARGET_NAMES = ("block0", "block1", "out_proj")
 
-# global counter of single-model distribution evaluations; tests use it
-# to verify that ensembling costs one evaluation per active expert while
-# merged inference costs exactly one
-FORWARD_EVALS = 0
-
-
-def reset_forward_evals() -> None:
-    global FORWARD_EVALS
-    FORWARD_EVALS = 0
-
-
 def _code_points(text: str) -> np.ndarray:
     """One uint32 per character of text (lone surrogates included)."""
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
@@ -105,10 +94,6 @@ class BaseParams:
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite entries in {name}")
             setattr(self, name, np.ascontiguousarray(arr, dtype=np.float32))
-
-    @property
-    def hidden(self) -> int:
-        return self.embed_table.shape[1]
 
     def target_shape(self, name: str) -> tuple[int, int]:
         # convention: every target matrix W has shape (d_out, d_in) and
@@ -183,13 +168,6 @@ class LoraAdapter:
         """Materialized (d_out, d_in) update for one target, in float64."""
         a, b = self.factors[name]
         return self.scale * (b.astype(np.float64) @ a.astype(np.float64))
-
-    def copy(self) -> "LoraAdapter":
-        return LoraAdapter(
-            factors={n: (a.copy(), b.copy()) for n, (a, b) in self.factors.items()},
-            rank=self.rank,
-            alpha=self.alpha,
-        )
 
     def flat(self) -> np.ndarray:
         """Float64 vector of the factors: A then B of each target, in factors order."""
@@ -299,10 +277,8 @@ def forward(
     base: BaseParams, adapter: LoraAdapter | None, prefix: str
 ) -> np.ndarray:
     """Next-token distribution after `prefix` (document start if empty)."""
-    global FORWARD_EVALS
     token = int(np.append(0, base.vocab.encode(prefix))[-1])  # BOS if empty
     logits, _ = _position_logits(_effective_weights(base, adapter), np.array([token]))
-    FORWARD_EVALS += 1
     return _softmax(logits)[0]
 
 

@@ -25,10 +25,12 @@ from .evaluation import HoldoutSplit, split_holdout
 
 EMBEDDINGS_NAME = "embeddings.npy"
 CORPUS_DIGEST_NAME = "corpus.sha256"
+ASSIGNMENT_NAME = "assignment.txt"
 
 
 @dataclass
 class BuildResult:
+    cfg: RunConfig
     catalog: store.ExpertCatalog
     base: lm.BaseParams
     embeddings: np.ndarray
@@ -106,11 +108,11 @@ def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
     )
     store.save_manifest(cat)
     cfg.save(work / "config.yaml")
-    _write_assignment(work / "assignment.txt", assignment)
+    _write_assignment(work / ASSIGNMENT_NAME, assignment)
     np.save(work / EMBEDDINGS_NAME, embeddings, allow_pickle=False)
     (work / CORPUS_DIGEST_NAME).write_text(_corpus_digest(docs) + "\n", encoding="utf-8")
     return BuildResult(
-        catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
+        cfg=cfg, catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
     )
 
 
@@ -154,25 +156,33 @@ def _load_embeddings(catalog_dir: Path, docs: list[str], dim: int) -> np.ndarray
     return embeddings
 
 
-def load_built(docs: list[str], catalog_dir: str | Path) -> BuildResult:
-    """Reload a built catalog and its corpus embeddings, and recompute the
-    deterministic split. `docs` must be the documents it was built from."""
+def open_catalog(
+    catalog_dir: str | Path,
+) -> tuple[RunConfig, store.ExpertCatalog, lm.BaseParams]:
+    """The config, manifest and base model of a built catalog, with the base
+    checked against the fingerprint the manifest records."""
     catalog_dir = Path(catalog_dir)
     cfg = RunConfig.load(catalog_dir / "config.yaml")
     cat = store.load_catalog(catalog_dir)
     base = store.load_base(catalog_dir)
     if base.fingerprint() != cat.base_fingerprint:
-        raise ValueError("catalog base fingerprint mismatch")
+        raise ValueError(f"catalog {catalog_dir}: base fingerprint mismatch")
+    return cfg, cat, base
+
+
+def load_built(docs: list[str], catalog_dir: str | Path) -> BuildResult:
+    """Reload a built catalog and its corpus embeddings, and recompute the
+    deterministic split. `docs` must be the documents it was built from."""
+    catalog_dir = Path(catalog_dir)
+    cfg, cat, base = open_catalog(catalog_dir)
     embeddings = _load_embeddings(catalog_dir, docs, cfg.embedder.dim)
-    labels = np.array(
-        [
-            int(line.split()[1])
-            for line in (catalog_dir / "assignment.txt").read_text().splitlines()
-        ],
-        dtype=np.int64,
-    )
-    assignment = ClusterAssignment(labels=labels, K=cat.K)
+    path = catalog_dir / ASSIGNMENT_NAME
+    try:
+        labels = [int(line.split()[1]) for line in path.read_text().splitlines()]
+        assignment = ClusterAssignment(labels=np.array(labels, dtype=np.int64), K=cat.K)
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"catalog {catalog_dir}: cannot parse {ASSIGNMENT_NAME} ({exc})") from exc
     split = split_holdout(len(docs), assignment, cfg.protocol)
     return BuildResult(
-        catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
+        cfg=cfg, catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
     )

@@ -96,28 +96,19 @@ def route(query: np.ndarray, catalog, cfg: RoutingConfig) -> MergeWeights:
     return sparse_softmax(logits, cfg.tau)
 
 
-def route_batch(queries: np.ndarray, catalog, cfg: RoutingConfig) -> list[MergeWeights]:
-    """Batched routing as one matrix product; row i equals route(queries[i])."""
-    centroids = catalog.centroid_matrix().astype(np.float64)
-    logits = np.asarray(queries, dtype=np.float64) @ centroids.T / cfg.beta
-    if cfg.fixed_n is not None:
-        return [route_fixed_n(q, catalog, cfg.fixed_n, cfg.beta) for q in queries]
-    return [sparse_softmax(row, cfg.tau) for row in logits]
-
-
-def _top_n_ids(logits: np.ndarray, n: int) -> np.ndarray:
-    K = len(logits)
+def top_n(scores: np.ndarray, n: int) -> np.ndarray:
+    """Ids of the n highest scores, by descending score; ties go to the
+    lower id."""
+    K = len(scores)
     if n < 1 or n > K:
         raise ValueError(f"n out of range [1, {K}]: {n}")
-    # sort by descending logit, ties broken by lower expert id
-    order = np.lexsort((np.arange(K), -logits))
-    return order[:n]
+    return np.lexsort((np.arange(K), -scores))[:n]
 
 
 def route_fixed_n(query: np.ndarray, catalog, n: int, beta: float) -> MergeWeights:
     """Softmax at temperature beta over the n nearest centroids only."""
     logits = _cosine_logits(query, catalog) / beta
-    ids = _top_n_ids(logits, n)
+    ids = top_n(logits, n)
     p = _softmax(logits[ids])
     return MergeWeights(entries={int(k): float(w) for k, w in zip(ids, p)})
 

@@ -14,6 +14,20 @@ class FakeCatalog:
         return self._centroids
 
 
+class CallCounter:
+    """Replaces module.name with a wrapper that counts its calls."""
+
+    def __init__(self, monkeypatch, module, name: str) -> None:
+        self.calls = 0
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
 def random_unit_vectors(n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))

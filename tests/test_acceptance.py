@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_unit_vectors
+from conftest import CallCounter, random_unit_vectors
 from expertmerge import catalog as store
 from expertmerge import model as lm
 from expertmerge import pipeline
@@ -188,7 +188,7 @@ def test_criterion_07_proposition_probe():
     verdict(7, not violations, f"bound held on {100 - len(violations)}/100 instances")
 
 
-def test_criterion_08_forward_pass_accounting(small_base):
+def test_criterion_08_forward_pass_accounting(small_base, monkeypatch):
     adapters = {
         k: lm.train_adapter(
             small_base,
@@ -199,16 +199,15 @@ def test_criterion_08_forward_pass_accounting(small_base):
         for k in range(5)
     }
     w = MergeWeights(entries={k: 0.2 for k in range(5)})
-    lm.reset_forward_evals()
+    forward = CallCounter(monkeypatch, lm, "forward")
     n_tokens = 7
     for t in range(n_tokens):
         ensemble_forward(w, adapters, small_base, "abcd"[: 1 + t % 3])
-    ensemble_evals = lm.FORWARD_EVALS
+    ensemble_evals = forward.calls
     model = apply_merged(small_base, merge_adapters(w, adapters))
-    lm.reset_forward_evals()
     for t in range(n_tokens):
         lm.forward(model, None, "abcd"[: 1 + t % 3])
-    merged_evals = lm.FORWARD_EVALS
+    merged_evals = forward.calls - ensemble_evals
     ok = ensemble_evals == 5 * n_tokens and merged_evals == n_tokens
     verdict(8, ok, f"ensemble {ensemble_evals}/{5 * n_tokens} merged {merged_evals}/{n_tokens}")
 

@@ -1,3 +1,4 @@
+import copy
 import re
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CallCounter
 from expertmerge import catalog as cat
 from expertmerge import model as lm
 from expertmerge.routing import MergeWeights, RoutingConfig
@@ -84,16 +86,50 @@ def test_trailing_bytes_rejected(tmp_path, adapter, fingerprint):
 def test_non_finite_adapter_rejected(tmp_path, adapter, fingerprint):
     # both pass the checksum: the writer stored them faithfully
     path = tmp_path / "e.adapter"
-    nan_alpha = adapter.copy()
+    nan_alpha = copy.deepcopy(adapter)
     nan_alpha.alpha = float("nan")
     cat.save_adapter(nan_alpha, path, fingerprint)
     with pytest.raises(ValueError, match="alpha must be positive and finite"):
         cat.load_adapter(path, fingerprint)
-    inf_factor = adapter.copy()
+    inf_factor = copy.deepcopy(adapter)
     inf_factor.factors["out_proj"][1][0, 0] = np.inf
     cat.save_adapter(inf_factor, path, fingerprint)
     with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
         cat.load_adapter(path, fingerprint)
+
+
+def test_matrix_headers_must_agree(tmp_path, adapter, fingerprint):
+    # every matrix header repeats rank and alpha; the first one says 999
+    path = tmp_path / "e.adapter"
+    cat.save_adapter(adapter, path, fingerprint)
+    payload = bytearray(path.read_bytes()[:-8])
+    first = sorted(adapter.factors)[0].encode()
+    alpha_at = len(cat.MAGIC) + 2 + 32 + 4 + 4 + len(first) + 12
+    assert struct.unpack_from("<f", payload, alpha_at) == (adapter.alpha,)
+    struct.pack_into("<f", payload, alpha_at, 999.0)
+    path.write_bytes(bytes(payload) + struct.pack("<Q", cat._checksum64(bytes(payload))))
+    with pytest.raises(ValueError, match="corrupt adapter.*another rank or alpha"):
+        cat.load_adapter(path, fingerprint)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+        | st.floats(min_value=-3e38, max_value=3e38),
+        max_size=64,
+    )
+)
+def test_parse_floats_matches_per_value_parse(values):
+    def bits(x):
+        assert x.dtype == np.float32
+        return x.view(np.uint32).tolist()
+
+    text = " ".join(repr(v) for v in values)
+    per_value = np.array([np.float32(float(v)) for v in text.split()], dtype=np.float32)
+    assert bits(cat._parse_floats(text)) == bits(per_value)
+    x32 = np.array(values, dtype=np.float64).astype(np.float32)
+    assert bits(cat._parse_floats(cat._fmt_floats(x32))) == bits(x32)
 
 
 def _matrix_record(name, dims, alpha, data, name_len):
@@ -255,12 +291,12 @@ def test_catalog_dense_id_validation(tmp_path, small_base):
         )
 
 
-def test_load_active_reads_only_support(tmp_path, small_base):
+def test_load_active_reads_only_support(tmp_path, small_base, monkeypatch):
     catalog = build_catalog_dir(tmp_path, small_base, 6, ["abcd", "efgh"])
     w = MergeWeights(entries={1: 0.5, 4: 0.5})
-    before = cat.ADAPTER_READS
+    reads = CallCounter(monkeypatch, cat, "load_adapter")
     adapters, report = cat.load_active(catalog, w)
-    assert cat.ADAPTER_READS - before == 2
+    assert reads.calls == 2
     assert sorted(adapters) == [1, 4]
     expected_bytes = catalog.records[1].byte_size + catalog.records[4].byte_size
     assert report.bytes_loaded == expected_bytes

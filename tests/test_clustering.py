@@ -12,11 +12,11 @@ from expertmerge.clustering import (
     MIN_CLUSTER_SIZE,
     ClusterAssignment,
     _diameter,
+    _pairwise_max_distance,
     _rebalance,
     _row_distances,
     _split_cluster,
     bisecting_kmeans,
-    cluster_diameter,
     compute_centroids,
     elbow_curve,
     kmeans_loss,
@@ -111,27 +111,18 @@ def test_cluster_diameter_cases():
     v = np.zeros(3)
     v[1] = 1.0
     x = np.stack([v, -v, v])
-    a = ClusterAssignment(labels=np.array([0, 1, 2]), K=3)
-    assert cluster_diameter(x, a, 0) == 0.0
-    a2 = ClusterAssignment(labels=np.array([0, 0, 1]), K=2)
-    assert cluster_diameter(x, a2, 0) == pytest.approx(2.0, abs=1e-12)
+    assert _pairwise_max_distance(x[:0]) == 0.0
+    assert _pairwise_max_distance(x[:1]) == 0.0
+    assert _pairwise_max_distance(x[:2]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_cluster_diameter_exhaustive_oracle():
     x = random_unit_vectors(8, 5, 7)
-    a = ClusterAssignment(labels=np.zeros(8, dtype=int), K=1)
     expected = max(
         float(np.linalg.norm(x[i].astype(np.float64) - x[j].astype(np.float64)))
         for i, j in itertools.combinations(range(8), 2)
     )
-    assert cluster_diameter(x, a, 0) == pytest.approx(expected, rel=1e-9)
-
-
-def test_cluster_diameter_bad_id():
-    x = random_unit_vectors(4, 3, 8)
-    a = ClusterAssignment(labels=np.zeros(4, dtype=int), K=1)
-    with pytest.raises(ValueError):
-        cluster_diameter(x, a, 1)
+    assert _pairwise_max_distance(x) == pytest.approx(expected, rel=1e-9)
 
 
 def test_centroids_singleton_and_norms():

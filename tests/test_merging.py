@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import CallCounter
 from expertmerge import model as lm
 from expertmerge.merging import apply_merged, ensemble_forward, merge_adapters
 from expertmerge.routing import MergeWeights
@@ -129,14 +130,13 @@ def test_ensemble_convex_hull_bound(small_base):
     assert (mix <= per_expert.max(axis=0) + 1e-12).all()
 
 
-def test_forward_eval_accounting(small_base):
+def test_forward_eval_accounting(small_base, monkeypatch):
     adapters = trained_adapters(small_base, 4)
     w = MergeWeights(entries={0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
-    lm.reset_forward_evals()
+    forward = CallCounter(monkeypatch, lm, "forward")
     ensemble_forward(w, adapters, small_base, "ab")
-    assert lm.FORWARD_EVALS == 4
+    assert forward.calls == 4
     merged = merge_adapters(w, adapters)
     model = apply_merged(small_base, merged)
-    lm.reset_forward_evals()
     lm.forward(model, None, "ab")
-    assert lm.FORWARD_EVALS == 1
+    assert forward.calls == 5

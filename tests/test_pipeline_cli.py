@@ -1,6 +1,10 @@
 import dataclasses
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,56 @@ def test_manifest_byte_size_checked(built, tmp_path, capsys):
     assert main(["generate", str(root), prompt, "--method", "expert-0"]) == 1
     assert re.search(message, capsys.readouterr().err)
     assert main(["generate", str(root), prompt, "--method", "expert-1"]) == 0
+
+
+def test_cli_generate_rejects_other_base(built, tmp_path, capsys):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    other = store.load_base(root)
+    other.block0[0, 0] += 1.0
+    store.save_base(other, root)
+    for method in ("base", "merged", "expert-0"):
+        assert main(["generate", str(root), docs[0][:6], "--method", method]) == 1
+        assert f"catalog {root}: base fingerprint mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line", ["", "1", "1 x"])
+def test_eval_rejects_malformed_assignment(built, tiny_corpus, tmp_path, capsys, bad_line):
+    result, docs, _ = built
+    _, corpus_path, _ = tiny_corpus
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    path = root / "assignment.txt"
+    lines = path.read_text().splitlines()
+    lines.insert(1, bad_line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"cannot parse assignment\.txt"):
+        pipeline.load_built(docs, root)
+    assert main(["eval", str(root), str(corpus_path), str(tmp_path / "report")]) == 1
+    assert "cannot parse assignment.txt" in capsys.readouterr().err
+
+
+def test_build_bytes_do_not_depend_on_blas_threads(tmp_path):
+    corpus = dataclasses.replace(RunConfig().corpus, docs_per_domain=60)
+    corpus_path = tmp_path / "corpus.txt"
+    write_corpus(generate_corpus(corpus)[0], corpus_path)
+    src = str(Path(pipeline.__file__).parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"cat_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "expertmerge.cli", "build", str(corpus_path), str(out)]
+            + ["--set", "n_clusters=8"],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len([p for p in trees[0] if p.parts[0] == store.ADAPTER_DIR]) == 8
+    assert trees[0] == trees[1]
 
 
 def test_cli_probe(tiny_corpus, tmp_path, capsys):

@@ -9,9 +9,9 @@ from expertmerge.routing import (
     RoutingConfig,
     rbf_weights,
     route,
-    route_batch,
     route_fixed_n,
     sparse_softmax,
+    top_n,
 )
 
 
@@ -115,27 +115,13 @@ def test_route_permutation_equivariance():
         assert w_perm.entries[new_id] == pytest.approx(w.entries[old_id], rel=1e-12)
 
 
-def test_route_batch_matches_loop():
-    centroids = random_unit_vectors(16, 24, 4)
-    queries = random_unit_vectors(5, 24, 5)
-    catalog = FakeCatalog(centroids)
-    cfg = RoutingConfig(beta=0.05, tau=0.01)
-    batch = route_batch(queries, catalog, cfg)
-    for q, w in zip(queries, batch):
-        single = route(q, catalog, cfg)
-        assert set(w.entries) == set(single.entries)
-        for k in w.entries:
-            assert w.entries[k] == pytest.approx(single.entries[k], abs=1e-12)
-
-
-def test_route_batch_duplicates_and_single():
-    centroids = random_unit_vectors(4, 8, 6)
-    q = random_unit_vectors(1, 8, 7)[0]
-    catalog = FakeCatalog(centroids)
-    cfg = RoutingConfig(beta=0.1, tau=0.0)
-    batch = route_batch(np.stack([q, q]), catalog, cfg)
-    assert batch[0].entries == batch[1].entries
-    assert route_batch(np.stack([q]), catalog, cfg)[0].entries == route(q, catalog, cfg).entries
+def test_top_n_descending_with_ties_to_lower_id():
+    scores = np.array([0.5, 0.9, 0.5, 0.9, 0.1])
+    assert top_n(scores, 5).tolist() == [1, 3, 0, 2, 4]
+    assert top_n(scores, 3).tolist() == [1, 3, 0]
+    for n in (0, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            top_n(scores, n)
 
 
 def test_route_fixed_n_full_equals_tau_zero():
