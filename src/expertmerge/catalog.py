@@ -1,5 +1,5 @@
-"""On-disk expert catalog: adapter serialization, manifest, timed loading
-and the tau×beta latency sweep.
+"""On-disk expert catalog: adapter serialization, manifest, checked loading
+of experts by id, the timed route-load-merge and the tau×beta latency sweep.
 
 Adapter binary format (little-endian throughout):
 
@@ -19,6 +19,7 @@ import re
 import statistics
 import struct
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +28,7 @@ import numpy as np
 from . import model as lm
 from . import routing
 from .merging import MergedAdapter, merge_adapters
-from .routing import MergeWeights, RoutingConfig
+from .routing import RoutingConfig
 
 MAGIC = b"TTMM"
 FORMAT_VERSION = 1
@@ -172,11 +173,11 @@ class ExpertCatalog:
 
 @dataclass
 class LatencyReport:
-    select_duration: float = 0.0
-    load_duration: float = 0.0
-    merge_duration: float = 0.0
-    n_active: int = 0
-    bytes_loaded: int = 0
+    select_duration: float
+    load_duration: float
+    merge_duration: float
+    n_active: int
+    bytes_loaded: int
 
 
 def _fmt_floats(values: np.ndarray) -> str:
@@ -337,16 +338,13 @@ def load_base(root: str | Path) -> lm.BaseParams:
     )
 
 
-def load_active(
-    catalog: ExpertCatalog, weights: MergeWeights
-) -> tuple[dict[int, lm.LoraAdapter], LatencyReport]:
-    """Load exactly the adapters in the weight support, timing the phase."""
-    report = LatencyReport(n_active=weights.n_active)
-    start = time.monotonic()
+def load_active(catalog: ExpertCatalog, ids: Iterable[int]) -> dict[int, lm.LoraAdapter]:
+    """Load the adapters of the given expert ids, each checked against its
+    manifest record (checksum, byte size) and the catalog's base."""
     adapters: dict[int, lm.LoraAdapter] = {}
-    for k in weights.support:
-        if k >= catalog.K:
-            raise KeyError(f"expert {k} not in catalog")
+    for k in ids:
+        if not 0 <= k < catalog.K:
+            raise ValueError(f"expert id {k} is not in 0..{catalog.K - 1}")
         path = catalog.adapter_file(k)
         if not path.exists():
             raise FileNotFoundError(f"adapter file missing for expert {k}: {path}")
@@ -354,9 +352,7 @@ def load_active(
         adapters[k] = load_adapter(
             path, catalog.base_fingerprint, record.checksum, record.byte_size
         )
-        report.bytes_loaded += record.byte_size
-    report.load_duration = time.monotonic() - start
-    return adapters, report
+    return adapters
 
 
 def timed_route_merge(
@@ -366,11 +362,17 @@ def timed_route_merge(
     t0 = time.monotonic()
     weights = routing.route(query, catalog, cfg)
     t1 = time.monotonic()
-    adapters, report = load_active(catalog, weights)
-    report.select_duration = t1 - t0
+    adapters = load_active(catalog, weights.support)
     t2 = time.monotonic()
     merged = merge_adapters(weights, adapters)
-    report.merge_duration = time.monotonic() - t2
+    t3 = time.monotonic()
+    report = LatencyReport(
+        select_duration=t1 - t0,
+        load_duration=t2 - t1,
+        merge_duration=t3 - t2,
+        n_active=weights.n_active,
+        bytes_loaded=sum(catalog.records[k].byte_size for k in weights.support),
+    )
     return merged, report
 
 

@@ -90,12 +90,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         text = lm.generate(adapted, None, args.prompt, args.n_tokens, args.seed)
     elif args.method.startswith("expert-"):
         k = int(args.method.split("-", 1)[1])
-        if not 0 <= k < cat.K:
-            raise ValueError(f"expert id {k} is not in 0..{cat.K - 1}")
-        record = cat.records[k]
-        adapter = store.load_adapter(
-            cat.adapter_file(k), cat.base_fingerprint, record.checksum, record.byte_size
-        )
+        adapter = store.load_active(cat, [k])[k]
         text = lm.generate(base, adapter, args.prompt, args.n_tokens, args.seed)
     else:
         raise SystemExit(f"unknown method {args.method!r}")

@@ -123,6 +123,8 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        if not isinstance(data, dict):
+            raise ValueError(f"bad config: {path} holds a {type(data).__name__}, not a mapping")
         return cls.from_dict(data)
 
     def save(self, path: str | Path) -> None:
@@ -132,11 +134,11 @@ class RunConfig:
         """Apply dotted-key overrides, e.g. {"routing.tau": 0.02}."""
         data = self.to_dict()
         for dotted, value in overrides.items():
-            parts = dotted.split(".")
+            *parents, leaf = dotted.split(".")
             node = data
-            for part in parts[:-1]:
-                node = node[part]
-            if parts[-1] not in node:
-                raise KeyError(f"unknown config key: {dotted}")
-            node[parts[-1]] = value
+            for part in parents:
+                node = node.get(part) if isinstance(node, dict) else None
+            if not isinstance(node, dict) or leaf not in node:
+                raise ValueError(f"unknown config key: {dotted}")
+            node[leaf] = value
         return RunConfig.from_dict(data)

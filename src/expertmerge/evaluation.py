@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embedding, merging, model as lm, routing
-from .catalog import ExpertCatalog, load_active, timed_route_merge
+from .catalog import ExpertCatalog, load_active
 from .clustering import MIN_CLUSTER_SIZE, ClusterAssignment, _pairwise_max_distance
 from .config import EvalProtocol, RunConfig
 from .routing import MergeWeights, RoutingConfig
@@ -115,14 +115,15 @@ def pass_at_n(
     return [(n, float((ranks_arr < n).mean())) for n in N_list]
 
 
+# multiplies both estimated Lipschitz constants of the approximation bound
+SAFETY_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class PropositionProbe:
     eta: float
     T: int
     N: int
-    L_hat: float | None = None  # estimated if absent
-    G_hat: float | None = None
-    safety_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.eta < 0:
@@ -177,7 +178,7 @@ def proposition_probe(
     one on the provided subset. Requires the subset to intersect the
     neighbor set. The output-distribution distance must stay below
     eta * T * L_hat * G_hat * (diam(nn) + diam(subset)) with empirically
-    estimated Lipschitz constants times a safety factor.
+    estimated Lipschitz constants, each times SAFETY_FACTOR.
     """
     query = embedding.embed(embedder_cfg, prompt)
     sims = corpus_embeddings.astype(np.float64) @ query.astype(np.float64)
@@ -199,40 +200,34 @@ def proposition_probe(
     diam_nn = _pairwise_max_distance(corpus_embeddings[nn_idx])
     diam_other = _pairwise_max_distance(corpus_embeddings[other_idx])
 
-    if probe.G_hat is not None:
-        g_hat = probe.G_hat
-    else:
-        grads_nn = [lm.nll_and_grad(base, init, [d])[1] for d in nn_docs]
-        grads_other = [lm.nll_and_grad(base, init, [d])[1] for d in other_docs]
-        ratio = 0.0
-        for i, gi in zip(nn_idx, grads_nn):
-            for j, gj in zip(other_idx, grads_other):
-                dist = float(
-                    np.linalg.norm(
-                        corpus_embeddings[i].astype(np.float64)
-                        - corpus_embeddings[j].astype(np.float64)
-                    )
+    grads_nn = [lm.nll_and_grad(base, init, [d])[1] for d in nn_docs]
+    grads_other = [lm.nll_and_grad(base, init, [d])[1] for d in other_docs]
+    ratio = 0.0
+    for i, gi in zip(nn_idx, grads_nn):
+        for j, gj in zip(other_idx, grads_other):
+            dist = float(
+                np.linalg.norm(
+                    corpus_embeddings[i].astype(np.float64)
+                    - corpus_embeddings[j].astype(np.float64)
                 )
-                if dist > 1e-12:
-                    ratio = max(ratio, float(np.linalg.norm(gi - gj)) / dist)
-        g_hat = probe.safety_factor * ratio
-
-    if probe.L_hat is not None:
-        l_hat = probe.L_hat
-    else:
-        rng = np.random.default_rng(seed)
-        theta0 = theta_nn.flat()
-        ratio = 0.0
-        for _ in range(8):
-            direction = rng.standard_normal(theta0.size)
-            direction /= np.linalg.norm(direction)
-            eps = 1e-4
-            p1 = lm.forward(base, theta_nn.with_flat(theta0 + eps * direction), prompt)
-            ratio = max(
-                ratio,
-                float(np.linalg.norm(p1.astype(np.float64) - p_nn.astype(np.float64))) / eps,
             )
-        l_hat = probe.safety_factor * ratio
+            if dist > 1e-12:
+                ratio = max(ratio, float(np.linalg.norm(gi - gj)) / dist)
+    g_hat = SAFETY_FACTOR * ratio
+
+    rng = np.random.default_rng(seed)
+    theta0 = theta_nn.flat()
+    ratio = 0.0
+    for _ in range(8):
+        direction = rng.standard_normal(theta0.size)
+        direction /= np.linalg.norm(direction)
+        eps = 1e-4
+        p1 = lm.forward(base, theta_nn.with_flat(theta0 + eps * direction), prompt)
+        ratio = max(
+            ratio,
+            float(np.linalg.norm(p1.astype(np.float64) - p_nn.astype(np.float64))) / eps,
+        )
+    l_hat = SAFETY_FACTOR * ratio
 
     rhs = probe.eta * probe.T * l_hat * g_hat * (diam_nn + diam_other)
     return ProbeResult(
@@ -337,10 +332,7 @@ def run_table1(
     train_docs = [docs[i] for i in split.train_idx]
     epl = cfg.protocol.eval_prefix_len
 
-    all_adapters, _ = load_active(
-        catalog,
-        MergeWeights(entries={k: 1.0 / K for k in range(K)}),
-    )
+    all_adapters = load_active(catalog, range(K))
 
     report = EvalReport(perplexities={}, config_echo=yaml_echo(cfg))
 
@@ -357,35 +349,26 @@ def run_table1(
         )
         report.perplexities["finetune"] = lm.perplexity(base, ft, test_docs, epl)
 
-    def merged_ppl(route_cfg: RoutingConfig, label: str) -> None:
-        ppls = []
-        for (k, i), query in zip(test_pairs, queries):
-            merged, _ = timed_route_merge(catalog, query, route_cfg)
-            adapted = merging.apply_merged(base, merged)
-            ppls.append(lm.perplexity(adapted, None, [docs[i]], epl))
-        report.perplexities[label] = per_doc_mean(ppls)
+    def merged_ppl(weights: MergeWeights, doc: str) -> float:
+        adapted = merging.apply_merged(base, merging.merge_adapters(weights, all_adapters))
+        return lm.perplexity(adapted, None, [doc], epl)
 
-    def ensemble_ppl(route_cfg: RoutingConfig, label: str) -> None:
-        ppls = []
-        for (k, i), query in zip(test_pairs, queries):
-            weights = routing.route(query, catalog, route_cfg)
-            ppls.append(
-                ensemble_perplexity(base, weights, all_adapters, [docs[i]], epl)
-            )
-        report.perplexities[label] = per_doc_mean(ppls)
+    def ensemble_ppl(weights: MergeWeights, doc: str) -> float:
+        return ensemble_perplexity(base, weights, all_adapters, [doc], epl)
 
-    if "ttmm_tau" in methods:
-        merged_ppl(cfg.routing, "ttmm_tau")
-    for n in (1, 3, 10):
-        label = f"ttmm_fixed_{n}"
+    def fixed(n: int) -> RoutingConfig:
+        return dataclasses.replace(cfg.routing, fixed_n=min(n, K))
+
+    routed = [("ttmm_tau", cfg.routing, merged_ppl)]
+    routed += [(f"ttmm_fixed_{n}", fixed(n), merged_ppl) for n in (1, 3, 10)]
+    routed += [(f"ensemble_fixed_{n}", fixed(n), ensemble_ppl) for n in (3, 10)]
+    for label, route_cfg, score in routed:
         if label in methods:
-            merged_ppl(
-                dataclasses.replace(cfg.routing, fixed_n=min(n, K)), label
-            )
-    for n in (3, 10):
-        label = f"ensemble_fixed_{n}"
-        if label in methods:
-            ensemble_ppl(dataclasses.replace(cfg.routing, fixed_n=min(n, K)), label)
+            ppls = [
+                score(routing.route(query, catalog, route_cfg), docs[i])
+                for (_, i), query in zip(test_pairs, queries)
+            ]
+            report.perplexities[label] = per_doc_mean(ppls)
 
     if "ttt" in methods:
         train_embs = embeddings[split.train_idx]

@@ -1,10 +1,10 @@
-"""Expert combination in parameter space and in prediction space.
+"""Expert combination in parameter space.
 
-Parameter-space merging contracts the weighted low-rank factors into one
-dense delta per target matrix before applying it to the base weights, so
-merged inference costs a single model evaluation. Prediction-space
-ensembling mixes per-expert next-token distributions instead, costing
-one evaluation per active expert.
+Merging contracts the weighted low-rank factors into one dense delta per
+target matrix before applying it to the base weights, so merged inference
+costs a single model evaluation however many experts contribute.
+Prediction-space ensembling, one evaluation per active expert, is
+evaluation.ensemble_perplexity.
 """
 
 from __future__ import annotations
@@ -83,20 +83,3 @@ def apply_merged(base: lm.BaseParams, merged: MergedAdapter) -> lm.BaseParams:
         )
     return out
 
-
-def ensemble_forward(
-    weights: MergeWeights,
-    adapters: dict[int, lm.LoraAdapter],
-    base: lm.BaseParams,
-    prefix: str,
-) -> np.ndarray:
-    """Weighted mixture of per-expert next-token distributions.
-
-    Performs exactly one model evaluation per active expert.
-    """
-    mix = np.zeros(base.vocab.size, dtype=np.float64)
-    for k in weights.support:
-        if k not in adapters:
-            raise KeyError(f"missing adapter for expert {k}")
-        mix += weights.entries[k] * lm.forward(base, adapters[k], prefix)
-    return mix / mix.sum()

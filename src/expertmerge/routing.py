@@ -22,10 +22,10 @@ class RoutingConfig:
     fixed_n: int | None = None  # fixed number of active experts instead of tau
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
         if self.fixed_n is not None and self.fixed_n < 1:
             raise ValueError("fixed_n must be >= 1 when set")
 

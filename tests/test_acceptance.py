@@ -18,8 +18,13 @@ from expertmerge.catalog import bench_sweep
 from expertmerge.config import RunConfig
 from expertmerge.corpus import generate_corpus
 from expertmerge.embedding import EmbedderConfig, embed_corpus
-from expertmerge.evaluation import PropositionProbe, proposition_probe, run_table1
-from expertmerge.merging import apply_merged, ensemble_forward, merge_adapters
+from expertmerge.evaluation import (
+    PropositionProbe,
+    ensemble_perplexity,
+    proposition_probe,
+    run_table1,
+)
+from expertmerge.merging import apply_merged, merge_adapters
 from expertmerge.routing import MergeWeights, rbf_weights, sparse_softmax
 
 HEADLINE_METHODS = ("base", "finetune", "ttmm_tau", "ttmm_fixed_1", "ttmm_fixed_10")
@@ -199,15 +204,15 @@ def test_criterion_08_forward_pass_accounting(small_base, monkeypatch):
         for k in range(5)
     }
     w = MergeWeights(entries={k: 0.2 for k in range(5)})
-    forward = CallCounter(monkeypatch, lm, "forward")
+    tables = CallCounter(monkeypatch, lm, "_prob_table")
     n_tokens = 7
     for t in range(n_tokens):
-        ensemble_forward(w, adapters, small_base, "abcd"[: 1 + t % 3])
-    ensemble_evals = forward.calls
+        ensemble_perplexity(small_base, w, adapters, ["abcd"[: 1 + t % 3]])
+    ensemble_evals = tables.calls
     model = apply_merged(small_base, merge_adapters(w, adapters))
     for t in range(n_tokens):
-        lm.forward(model, None, "abcd"[: 1 + t % 3])
-    merged_evals = forward.calls - ensemble_evals
+        lm.perplexity(model, None, ["abcd"[: 1 + t % 3]])
+    merged_evals = tables.calls - ensemble_evals
     ok = ensemble_evals == 5 * n_tokens and merged_evals == n_tokens
     verdict(8, ok, f"ensemble {ensemble_evals}/{5 * n_tokens} merged {merged_evals}/{n_tokens}")
 

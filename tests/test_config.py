@@ -26,8 +26,31 @@ def test_overrides_nested_and_flat():
 
 
 def test_override_unknown_key():
-    with pytest.raises(KeyError, match="unknown config key"):
+    with pytest.raises(ValueError, match="unknown config key"):
         RunConfig().with_overrides({"routing.gamma": 1.0})
+
+
+@pytest.mark.parametrize("key", ["seed.x", "nope.x", "routing.tau.x", "embedder.ngram_orders.0"])
+def test_override_below_a_leaf_or_unknown_section(key):
+    with pytest.raises(ValueError, match=rf"^unknown config key: {key}$"):
+        RunConfig().with_overrides({key: 1})
+
+
+@pytest.mark.parametrize("text", ["- a\n", "3\n", "just text\n"])
+def test_yaml_top_level_must_be_a_mapping(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad config: .*not a mapping"):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize("field", ["beta", "tau"])
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+def test_yaml_routing_must_be_finite(tmp_path, field, value):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"routing:\n  {field}: {value}\n")
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        RunConfig.load(path)
 
 
 def test_protocol_validation():

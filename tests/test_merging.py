@@ -3,7 +3,8 @@ import pytest
 
 from conftest import CallCounter
 from expertmerge import model as lm
-from expertmerge.merging import apply_merged, ensemble_forward, merge_adapters
+from expertmerge.evaluation import ensemble_perplexity
+from expertmerge.merging import apply_merged, merge_adapters
 from expertmerge.routing import MergeWeights
 
 
@@ -109,34 +110,13 @@ def test_apply_shape_mismatch(small_base):
         apply_merged(small_base, bad)
 
 
-def test_ensemble_symmetric_pair(small_base):
-    adapters = trained_adapters(small_base, 2)
-    w = MergeWeights(entries={0: 0.5, 1: 0.5})
-    mix = ensemble_forward(w, adapters, small_base, "ab")
-    p0 = lm.forward(small_base, adapters[0], "ab")
-    p1 = lm.forward(small_base, adapters[1], "ab")
-    assert np.allclose(mix, 0.5 * (p0 + p1), atol=1e-12)
-    assert mix.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_ensemble_convex_hull_bound(small_base):
-    adapters = trained_adapters(small_base, 3)
-    w = MergeWeights(entries={0: 0.2, 1: 0.3, 2: 0.5})
-    mix = ensemble_forward(w, adapters, small_base, "abc")
-    per_expert = np.stack(
-        [lm.forward(small_base, adapters[k], "abc") for k in range(3)]
-    )
-    assert (mix >= per_expert.min(axis=0) - 1e-12).all()
-    assert (mix <= per_expert.max(axis=0) + 1e-12).all()
-
-
 def test_forward_eval_accounting(small_base, monkeypatch):
     adapters = trained_adapters(small_base, 4)
     w = MergeWeights(entries={0: 0.25, 1: 0.25, 2: 0.25, 3: 0.25})
-    forward = CallCounter(monkeypatch, lm, "forward")
-    ensemble_forward(w, adapters, small_base, "ab")
-    assert forward.calls == 4
+    tables = CallCounter(monkeypatch, lm, "_prob_table")
+    ensemble_perplexity(small_base, w, adapters, ["ab"])
+    assert tables.calls == 4
     merged = merge_adapters(w, adapters)
     model = apply_merged(small_base, merged)
-    lm.forward(model, None, "ab")
-    assert forward.calls == 5
+    lm.perplexity(model, None, ["ab"])
+    assert tables.calls == 5

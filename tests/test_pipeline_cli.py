@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import CallCounter
 from expertmerge import catalog as store
-from expertmerge import embedding, pipeline
+from expertmerge import embedding, evaluation, pipeline
 from expertmerge import model as lm
 from expertmerge.catalog import bench_sweep
 from expertmerge.cli import main
@@ -18,7 +19,6 @@ from expertmerge.config import EvalProtocol, RunConfig
 from expertmerge.corpus import CorpusConfig, generate_corpus, write_corpus
 from expertmerge.embedding import EmbedderConfig, embed_corpus
 from expertmerge.model import TrainConfig
-from expertmerge.routing import MergeWeights
 
 
 def tiny_run_config(seed=0):
@@ -141,6 +141,22 @@ def test_load_built_roundtrip(built):
         reloaded.catalog.centroid_matrix(), result.catalog.centroid_matrix()
     )
     assert np.array_equal(reloaded.embeddings, embed_corpus(cfg.embedder, docs))
+
+
+def test_run_table1_reads_each_adapter_once(built, monkeypatch):
+    result, docs, cfg = built
+    reads = CallCounter(monkeypatch, store, "load_adapter")
+    report = evaluation.run_table1(
+        docs,
+        result.embeddings,
+        result.assignment,
+        result.split,
+        result.base,
+        result.catalog,
+        cfg,
+    )
+    assert list(report.perplexities) == list(evaluation.DEFAULT_METHODS)
+    assert reads.calls == cfg.n_clusters
 
 
 @pytest.mark.parametrize(
@@ -321,8 +337,8 @@ def test_manifest_byte_size_checked(built, tmp_path, capsys):
     assert catalog.records[0].byte_size == size + 1
     message = rf"expert_0000\.bin is {size} bytes, its manifest byte_size is {size + 1}"
     with pytest.raises(ValueError, match=message):
-        store.load_active(catalog, MergeWeights(entries={0: 1.0}))
-    store.load_active(catalog, MergeWeights(entries={1: 1.0}))
+        store.load_active(catalog, [0])
+    store.load_active(catalog, [1])
     prompt = docs[0][:6]
     assert main(["generate", str(root), prompt, "--method", "expert-0"]) == 1
     assert re.search(message, capsys.readouterr().err)
@@ -402,6 +418,13 @@ def test_cli_probe(tiny_corpus, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "bound held on" in out
     assert rc in (0, 1)
+
+
+@pytest.mark.parametrize("key", ["seed.x", "nope.x", "routing.gamma"])
+def test_cli_rejects_unknown_set_key(tiny_corpus, capsys, key):
+    _, corpus_path, _ = tiny_corpus
+    assert main(["probe", str(corpus_path), "--trials", "1", "--set", f"{key}=1"]) == 1
+    assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
 
 
 def test_cli_cluster_report(tiny_corpus, tmp_path, capsys):

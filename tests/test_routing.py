@@ -185,3 +185,11 @@ def test_routing_config_validation():
         RoutingConfig(beta=0.0)
     with pytest.raises(ValueError):
         RoutingConfig(tau=-0.1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_routing_config_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        RoutingConfig(beta=value)
+    with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+        RoutingConfig(tau=value)
