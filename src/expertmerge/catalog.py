@@ -20,7 +20,7 @@ import statistics
 import struct
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +40,11 @@ def _checksum64(payload: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def save_adapter(adapter: lm.LoraAdapter, path: str | Path, base_fingerprint: bytes) -> int:
-    """Write the adapter in the binary format; returns the byte count."""
+def save_adapter(
+    adapter: lm.LoraAdapter, path: str | Path, base_fingerprint: bytes
+) -> tuple[int, str]:
+    """Write the adapter in the binary format; returns the byte size and the
+    checksum hex that its manifest record holds."""
     if len(base_fingerprint) != 32:
         raise ValueError("base fingerprint must be 32 bytes")
     chunks = [MAGIC, struct.pack("<H", FORMAT_VERSION), base_fingerprint]
@@ -58,9 +61,9 @@ def save_adapter(adapter: lm.LoraAdapter, path: str | Path, base_fingerprint: by
         chunks.append(np.ascontiguousarray(a, dtype="<f4").tobytes())
         chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
     payload = b"".join(chunks)
-    blob = payload + struct.pack("<Q", _checksum64(payload))
-    Path(path).write_bytes(blob)
-    return len(blob)
+    checksum = struct.pack("<Q", _checksum64(payload))
+    Path(path).write_bytes(payload + checksum)
+    return len(payload) + len(checksum), checksum.hex()
 
 
 def load_adapter(
@@ -138,7 +141,6 @@ def load_adapter(
 @dataclass
 class ExpertRecord:
     expert_id: int
-    centroid: np.ndarray  # (d,) float32 unit-norm
     cluster_size: int
     adapter_path: str  # relative to the catalog directory
     byte_size: int
@@ -149,9 +151,9 @@ class ExpertRecord:
 class ExpertCatalog:
     root: Path
     records: list[ExpertRecord]
+    centroids: np.ndarray  # (K, d) float32; row k is expert k's unit-norm centroid
     embedder_fingerprint: str
     base_fingerprint: bytes
-    _centroid_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         ids = [r.expert_id for r in self.records]
@@ -161,11 +163,6 @@ class ExpertCatalog:
     @property
     def K(self) -> int:
         return len(self.records)
-
-    def centroid_matrix(self) -> np.ndarray:
-        if self._centroid_cache is None:
-            self._centroid_cache = np.stack([r.centroid for r in self.records])
-        return self._centroid_cache
 
     def adapter_file(self, expert_id: int) -> Path:
         return self.root / self.records[expert_id].adapter_path
@@ -199,7 +196,7 @@ def save_manifest(catalog: ExpertCatalog) -> Path:
         f"num_experts: {catalog.K}",
         "",
     ]
-    for rec in catalog.records:
+    for rec, centroid in zip(catalog.records, catalog.centroids):
         lines.extend(
             [
                 f"expert_id: {rec.expert_id}",
@@ -207,7 +204,7 @@ def save_manifest(catalog: ExpertCatalog) -> Path:
                 f"adapter_path: {rec.adapter_path}",
                 f"byte_size: {rec.byte_size}",
                 f"checksum: {rec.checksum}",
-                f"centroid: {_fmt_floats(rec.centroid)}",
+                f"centroid: {_fmt_floats(centroid)}",
                 "",
             ]
         )
@@ -263,13 +260,13 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
         num_experts = int(header["num_experts"])
         embedder_fingerprint = header["embedder_fingerprint"]
         base_fingerprint = bytes.fromhex(header["base_fingerprint"])
-        records = []
+        records, rows = [], []
         for i, rec in enumerate(fields):
             where = f"record {i}"
+            rows.append(_parse_floats(rec["centroid"]))
             records.append(
                 ExpertRecord(
                     expert_id=int(rec["expert_id"]),
-                    centroid=_parse_floats(rec["centroid"]),
                     cluster_size=int(rec["cluster_size"]),
                     adapter_path=rec["adapter_path"],
                     byte_size=int(rec["byte_size"]),
@@ -291,9 +288,9 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
     for rec in records:
         if not CHECKSUM_HEX.fullmatch(rec.checksum):
             raise bad(f"expert {rec.expert_id} checksum {rec.checksum!r} is not 16 hex digits")
-    if len({len(rec.centroid) for rec in records}) != 1:
+    if len({len(row) for row in rows}) != 1:
         raise bad("centroids differ in length")
-    centroids = np.stack([rec.centroid for rec in records])
+    centroids = np.stack(rows)
     if not np.isfinite(centroids).all():
         raise bad("centroid has a non-finite entry")
     norms = np.linalg.norm(centroids.astype(np.float64), axis=1)
@@ -304,9 +301,9 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
         return ExpertCatalog(
             root=root,
             records=records,
+            centroids=centroids,
             embedder_fingerprint=embedder_fingerprint,
             base_fingerprint=base_fingerprint,
-            _centroid_cache=centroids,
         )
     except ValueError as exc:
         raise bad(str(exc)) from exc

@@ -9,6 +9,7 @@ through the same fields.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -33,6 +34,15 @@ class EvalProtocol:
             raise ValueError("prefix lengths must be >= 0")
         if not 0.0 <= self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must be in [0, 1)")
+
+
+def _check_ints(defaults: Any, values: dict[str, Any], prefix: str) -> None:
+    """Reject a bool or a non-int for each key whose default value is an int."""
+    for key, value in values.items():
+        if type(getattr(defaults, key, None)) is int and (
+            isinstance(value, bool) or not isinstance(value, int)
+        ):
+            raise ValueError(f"bad config: {prefix}{key} must be an integer, got {value!r}")
 
 
 def _desk_train(seed: int, lr: float, epochs: int) -> TrainConfig:
@@ -72,8 +82,15 @@ class RunConfig:
     }
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        for name in ("n_clusters", "hidden", "lora_rank", "ttt_neighbors"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lora_alpha) and self.lora_alpha > 0):
+            raise ValueError(f"lora_alpha must be positive and finite, got {self.lora_alpha}")
+        if not 0.0 < self.base_pretrain_fraction <= 1.0:
+            raise ValueError(
+                f"base_pretrain_fraction must be in (0, 1], got {self.base_pretrain_fraction}"
+            )
         # sparse_softmax needs tau < 1/K to keep at least one expert
         if self.routing.fixed_n is None and self.routing.tau >= 1.0 / self.n_clusters:
             raise ValueError(
@@ -98,6 +115,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
         """Build from nested dicts; an unknown or mistyped key raises ValueError."""
+        defaults = cls()
         kwargs: dict[str, Any] = {}
         try:
             for key, value in data.items():
@@ -108,27 +126,45 @@ class RunConfig:
                         raise ValueError(f"ttt_epochs={value!r}: TTT makes exactly one pass")
                     continue
                 if key in cls._NESTED:
+                    if not isinstance(value, dict):
+                        raise ValueError(f"bad config: {key} must be a mapping")
                     sub = dict(value)
                     if key == "routing":
                         sub.pop("weighting", None)  # removed with the sift option
+                    _check_ints(getattr(defaults, key), sub, f"{key}.")
                     if "ngram_orders" in sub:
                         sub["ngram_orders"] = tuple(sub["ngram_orders"])
                     kwargs[key] = cls._NESTED[key](**sub)
                 else:
                     kwargs[key] = value
+            _check_ints(defaults, kwargs, "")
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        try:
+            data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        except yaml.YAMLError as exc:
+            # one line: the problem and where, without the echoed source text
+            mark = getattr(exc, "problem_mark", None)
+            detail = (
+                f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+                if mark
+                else " ".join(str(exc).split())
+            )
+            raise ValueError(f"bad config: {path} is not valid YAML ({detail})") from exc
         if not isinstance(data, dict):
             raise ValueError(f"bad config: {path} holds a {type(data).__name__}, not a mapping")
         return cls.from_dict(data)
 
+    def to_yaml(self) -> str:
+        """The config as the YAML text that `load` reads back."""
+        return yaml.safe_dump(self.to_dict(), sort_keys=True)
+
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(yaml.safe_dump(self.to_dict(), sort_keys=True), encoding="utf-8")
+        Path(path).write_text(self.to_yaml(), encoding="utf-8")
 
     def with_overrides(self, overrides: dict[str, Any]) -> "RunConfig":
         """Apply dotted-key overrides, e.g. {"routing.tau": 0.02}."""

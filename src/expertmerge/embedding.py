@@ -24,8 +24,8 @@ class EmbedderConfig:
             raise ValueError(f"dim must be >= 8, got {self.dim}")
         if not self.ngram_orders:
             raise ValueError("ngram_orders must be non-empty")
-        if any(n < 1 for n in self.ngram_orders):
-            raise ValueError(f"ngram orders must be >= 1, got {self.ngram_orders}")
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.ngram_orders):
+            raise ValueError(f"ngram orders must be integers >= 1, got {self.ngram_orders}")
 
     def fingerprint(self) -> str:
         """Hex digest identifying this embedder configuration."""

@@ -91,9 +91,7 @@ def expert_cluster_matrix(
     """Entry (k, j): perplexity of expert k on cluster j's holdout docs."""
     K = len(adapters)
     tables = [lm._prob_table(base, adapters[k]) for k in range(K)]
-    counts = [
-        lm._scored_counts(base.vocab, holdout_docs[j], eval_prefix_len, 100_000) for j in range(K)
-    ]
+    counts = [lm._scored_counts(base.vocab, holdout_docs[j], eval_prefix_len) for j in range(K)]
     return np.exp([[lm._nll(table, c) for c in counts] for table in tables])
 
 
@@ -249,7 +247,7 @@ def ensemble_perplexity(
     eval_prefix_len: int = 0,
 ) -> float:
     """Perplexity of the weighted mixture of per-expert distributions."""
-    counts = lm._scored_counts(base.vocab, docs, eval_prefix_len, 100_000)
+    counts = lm._scored_counts(base.vocab, docs, eval_prefix_len)
     mix = sum(weights.entries[k] * lm._prob_table(base, adapters[k]) for k in weights.support)
     return float(np.exp(lm._nll(mix, counts)))
 
@@ -306,6 +304,10 @@ def diagonal_rowmin_fraction(matrix: np.ndarray) -> float:
     return float((mins == np.arange(len(matrix))).mean())
 
 
+# holdout documents per cluster that the expert-cluster matrix and pass@N read
+MAX_HOLDOUT_DOCS = 8
+
+
 def run_table1(
     docs: list[str],
     embeddings: np.ndarray,
@@ -315,7 +317,6 @@ def run_table1(
     catalog: ExpertCatalog,
     cfg: RunConfig,
     methods: tuple[str, ...] = DEFAULT_METHODS,
-    max_holdout_docs: int = 8,
 ) -> EvalReport:
     """Perplexity of every requested method on the per-cluster test set,
     plus routing diagnostics."""
@@ -334,7 +335,7 @@ def run_table1(
 
     all_adapters = load_active(catalog, range(K))
 
-    report = EvalReport(perplexities={}, config_echo=yaml_echo(cfg))
+    report = EvalReport(perplexities={}, config_echo=cfg.to_yaml())
 
     def per_doc_mean(ppls: list[float]) -> float:
         # average in NLL space: exp(mean log ppl)
@@ -391,24 +392,13 @@ def run_table1(
         report.perplexities["ttt"] = per_doc_mean(ppls)
 
     # diagnostics: expert-cluster matrix on capped holdout, pass@N
-    holdout_docs = {}
-    for k in range(K):
-        idx = split.holdout[k][:max_holdout_docs]
-        holdout_docs[k] = [docs[i] for i in idx] if len(idx) else [docs[split.test[k]]]
+    capped = {k: split.holdout[k][:MAX_HOLDOUT_DOCS] for k in range(K)}
+    holdout_docs = {k: [docs[i] for i in capped[k]] or [docs[split.test[k]]] for k in range(K)}
     matrix = expert_cluster_matrix(base, all_adapters, holdout_docs, epl)
     report.matrix = matrix
     report.diagonal_rowmin_fraction = diagonal_rowmin_fraction(matrix)
 
-    samples = []
-    for k in range(K):
-        for i in split.holdout[k][:max_holdout_docs]:
-            samples.append((embeddings[i], k))
+    samples = [(embeddings[i], k) for k, idx in capped.items() for i in idx]
     n_list = sorted({1, min(3, K), min(10, K), K})
-    report.pass_at_n = pass_at_n(catalog.centroid_matrix(), samples, n_list)
+    report.pass_at_n = pass_at_n(catalog.centroids, samples, n_list)
     return report
-
-
-def yaml_echo(cfg: RunConfig) -> str:
-    import yaml
-
-    return yaml.safe_dump(cfg.to_dict(), sort_keys=True)

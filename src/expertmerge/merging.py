@@ -67,19 +67,16 @@ def merge_adapters(
 
 
 def apply_merged(base: lm.BaseParams, merged: MergedAdapter) -> lm.BaseParams:
-    """New BaseParams with W + delta per adapted matrix; base untouched."""
-    out = base.copy()
+    """New BaseParams with W + delta per adapted matrix, built once; base
+    untouched. It shares the base's arrays of the matrices no delta touches."""
+    weights = {name: getattr(base, name) for name in lm.DENSE_NAMES}
     for name, delta in merged.deltas.items():
-        current = getattr(out, name)
+        current = weights[name]
         if current.shape != delta.shape:
             raise ValueError(
                 f"shape mismatch for matrix {name!r}: base {current.shape}, "
                 f"delta {delta.shape}"
             )
-        setattr(
-            out,
-            name,
-            (current.astype(np.float64) + delta.astype(np.float64)).astype(np.float32),
-        )
-    return out
+        weights[name] = (current.astype(np.float64) + delta).astype(np.float32)
+    return lm.BaseParams(vocab=base.vocab, **weights)
 

@@ -111,15 +111,6 @@ class BaseParams:
             digest.update(arr.tobytes())
         return digest.digest()
 
-    def copy(self) -> "BaseParams":
-        return BaseParams(
-            vocab=self.vocab,
-            embed_table=self.embed_table.copy(),
-            block0=self.block0.copy(),
-            block1=self.block1.copy(),
-            out_proj=self.out_proj.copy(),
-        )
-
     @staticmethod
     def init_random(vocab: Vocab, hidden: int, seed: int, scale: float = 0.2) -> "BaseParams":
         rng = np.random.default_rng(seed)
@@ -283,11 +274,11 @@ def forward(
 
 
 def _pair_counts(
-    vocab: Vocab, docs: list[str], max_seq_len: int, eval_prefix_len: int = 0
+    vocab: Vocab, docs: list[str], max_seq_len: int | None, eval_prefix_len: int = 0
 ) -> np.ndarray:
-    """(V, V) count of each (input, target) pair over the docs, skipping the
-    first eval_prefix_len predictions of each; BOS is the first input and EOS
-    the last target."""
+    """(V, V) count of each (input, target) pair over the docs, each cut to
+    max_seq_len (None: whole), skipping the first eval_prefix_len predictions
+    of each; BOS is the first input and EOS the last target."""
     v = vocab.size
     keys = []
     for doc in docs:
@@ -297,10 +288,8 @@ def _pair_counts(
     return np.bincount(np.concatenate(keys), minlength=v * v).reshape(v, v).astype(np.float64)
 
 
-def _scored_counts(
-    vocab: Vocab, docs: list[str], eval_prefix_len: int, max_seq_len: int
-) -> np.ndarray:
-    """_pair_counts for scoring: every doc must extend past the prefix."""
+def _scored_counts(vocab: Vocab, docs: list[str], eval_prefix_len: int) -> np.ndarray:
+    """_pair_counts of whole docs, for scoring: every doc must extend past the prefix."""
     if not docs:
         raise ValueError("docs must be non-empty")
     for doc in docs:
@@ -308,7 +297,7 @@ def _scored_counts(
             raise ValueError(
                 f"document shorter than eval prefix ({len(doc)} <= {eval_prefix_len}): {doc[:32]!r}"
             )
-    return _pair_counts(vocab, docs, max_seq_len, eval_prefix_len)
+    return _pair_counts(vocab, docs, None, eval_prefix_len)
 
 
 def _nll(table: np.ndarray, counts: np.ndarray) -> float:
@@ -462,10 +451,9 @@ def perplexity(
     adapter: LoraAdapter | None,
     docs: list[str],
     eval_prefix_len: int = 0,
-    max_seq_len: int = 100_000,
 ) -> float:
-    """exp(mean NLL) over all positions after the first eval_prefix_len."""
-    counts = _scored_counts(base.vocab, docs, eval_prefix_len, max_seq_len)
+    """exp(mean NLL) over all positions of whole docs after the first eval_prefix_len."""
+    counts = _scored_counts(base.vocab, docs, eval_prefix_len)
     return float(np.exp(_nll(_prob_table(base, adapter), counts)))
 
 

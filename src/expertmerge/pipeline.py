@@ -87,22 +87,21 @@ def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
             base, cluster_docs, expert_cfg, rank=cfg.lora_rank, alpha=cfg.lora_alpha
         )
         rel_path = f"{store.ADAPTER_DIR}/expert_{k:04d}.bin"
-        byte_size = store.save_adapter(adapter, work / rel_path, fingerprint)
-        blob = (work / rel_path).read_bytes()
+        byte_size, checksum = store.save_adapter(adapter, work / rel_path, fingerprint)
         records.append(
             store.ExpertRecord(
                 expert_id=k,
-                centroid=centroids.centroids[k],
                 cluster_size=int(centroids.sizes[k]),
                 adapter_path=rel_path,
                 byte_size=byte_size,
-                checksum=blob[-8:].hex(),
+                checksum=checksum,
             )
         )
 
     cat = store.ExpertCatalog(
         root=work,
         records=records,
+        centroids=centroids.centroids,
         embedder_fingerprint=cfg.embedder.fingerprint(),
         base_fingerprint=fingerprint,
     )

@@ -26,8 +26,9 @@ class RoutingConfig:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not (math.isfinite(self.tau) and self.tau >= 0):
             raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
-        if self.fixed_n is not None and self.fixed_n < 1:
-            raise ValueError("fixed_n must be >= 1 when set")
+        n = self.fixed_n
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+            raise ValueError(f"fixed_n must be an integer >= 1 when set, got {n!r}")
 
 
 @dataclass
@@ -84,8 +85,7 @@ def sparse_softmax(z: np.ndarray, tau: float) -> MergeWeights:
 
 
 def _cosine_logits(query: np.ndarray, catalog) -> np.ndarray:
-    centroids = catalog.centroid_matrix().astype(np.float64)
-    return centroids @ np.asarray(query, dtype=np.float64)
+    return catalog.centroids.astype(np.float64) @ np.asarray(query, dtype=np.float64)
 
 
 def route(query: np.ndarray, catalog, cfg: RoutingConfig) -> MergeWeights:

@@ -8,10 +8,7 @@ class FakeCatalog:
     """Minimal routable object: just a centroid matrix."""
 
     def __init__(self, centroids: np.ndarray) -> None:
-        self._centroids = np.asarray(centroids, dtype=np.float32)
-
-    def centroid_matrix(self) -> np.ndarray:
-        return self._centroids
+        self.centroids = np.asarray(centroids, dtype=np.float32)
 
 
 class CallCounter:

@@ -233,7 +233,7 @@ def test_criterion_09_routing_diagnostics(headline):
 
 def test_criterion_10_latency_report(headline):
     built, _, _ = headline
-    query = built.catalog.records[0].centroid
+    query = built.catalog.centroids[0]
     taus = [0.0, 0.005, 0.01, 0.02, 0.03]
     rows = bench_sweep(built.catalog, query, taus, [0.05], repetitions=10)
     actives = [row["n_active"] for row in rows]

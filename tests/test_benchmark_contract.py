@@ -4,9 +4,11 @@ unnoticed until a traced run fails. perfbench/ is only read."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import expertmerge
+from expertmerge import model as lm
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -15,6 +17,22 @@ def test_traced_functions_exist(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     assert tracing.Bindings(tracing.Recorder(), expertmerge).problems == []
+
+
+def test_scored_tokens_annotation_matches_scoring(monkeypatch):
+    # the traced run records model.scored_tokens from perplexity's arguments;
+    # it must count the pairs that scoring reads, however the call passes them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    annotate = importlib.import_module("tracing").ANNOTATE["model.perplexity"]
+    signature = inspect.signature(lm.perplexity)
+    base = lm.BaseParams.init_random(lm.Vocab.from_corpus(["abcdef"]), hidden=4, seed=0)
+    docs = ["fed", "abcabc", "cafe" * 30]
+    for epl in (0, 1, 2):
+        expected = int(lm._scored_counts(base.vocab, docs, epl).sum())
+        assert annotate(signature.bind(base, None, docs, epl)) == expected
+        assert annotate(signature.bind(base, None, docs=docs, eval_prefix_len=epl)) == expected
+    default = int(lm._scored_counts(base.vocab, docs, 0).sum())
+    assert annotate(signature.bind(base, None, docs)) == default
 
 
 def test_called_names_exist():

@@ -38,13 +38,15 @@ def test_roundtrip_bitwise(tmp_path, adapter, fingerprint):
 
 def test_byte_count_formula(tmp_path, adapter, fingerprint):
     path = tmp_path / "e.adapter"
-    written = cat.save_adapter(adapter, path, fingerprint)
+    written, checksum = cat.save_adapter(adapter, path, fingerprint)
     # independent size computation from the format description
     expected = 4 + 2 + 32 + 4 + 8
     for name, (a, b) in adapter.factors.items():
         expected += 4 + len(name.encode()) + 12 + 4 + 4 * a.size + 4 * b.size
     assert written == expected
     assert path.stat().st_size == expected
+    # the checksum a manifest record holds is the file's trailing u64
+    assert checksum == path.read_bytes()[-8:].hex()
 
 
 def test_truncated_file_rejected(tmp_path, adapter, fingerprint):
@@ -178,21 +180,19 @@ def build_catalog_dir(tmp_path, base, n_experts, docs):
         cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=100 + k)
         adapter = lm.train_adapter(base, docs, cfg, rank=2)
         rel = f"{cat.ADAPTER_DIR}/expert_{k:03d}.adapter"
-        size = cat.save_adapter(adapter, root / rel, fp)
-        checksum = (root / rel).read_bytes()[-8:].hex()
-        c = rng.standard_normal(16)
+        size, checksum = cat.save_adapter(adapter, root / rel, fp)
         records.append(
             cat.ExpertRecord(
-                expert_id=k,
-                centroid=(c / np.linalg.norm(c)).astype(np.float32),
-                cluster_size=5 + k,
-                adapter_path=rel,
-                byte_size=size,
-                checksum=checksum,
+                expert_id=k, cluster_size=5 + k, adapter_path=rel, byte_size=size, checksum=checksum
             )
         )
+    c = rng.standard_normal((n_experts, 16))
     catalog = cat.ExpertCatalog(
-        root=root, records=records, embedder_fingerprint="emb-test", base_fingerprint=fp
+        root=root,
+        records=records,
+        centroids=(c / np.linalg.norm(c, axis=1, keepdims=True)).astype(np.float32),
+        embedder_fingerprint="emb-test",
+        base_fingerprint=fp,
     )
     cat.save_manifest(catalog)
     return catalog
@@ -209,11 +209,9 @@ def test_manifest_roundtrip(tmp_path, small_base):
         assert got.cluster_size == orig.cluster_size
         assert got.byte_size == orig.byte_size
         assert got.checksum == orig.checksum
-        # centroids round-trip bit-exactly through the text manifest
-        assert np.array_equal(got.centroid, orig.centroid)
-    # the load stacked and checked the centroid matrix once; routing reuses it
-    assert loaded._centroid_cache is not None
-    assert np.array_equal(loaded.centroid_matrix(), catalog.centroid_matrix())
+    # centroids round-trip bit-exactly through the text manifest
+    assert loaded.centroids.dtype == np.float32
+    assert np.array_equal(loaded.centroids, catalog.centroids)
 
 
 def _first_centroid(text: str, edit) -> str:
@@ -286,6 +284,7 @@ def test_catalog_dense_id_validation(tmp_path, small_base):
         cat.ExpertCatalog(
             root=catalog.root,
             records=records,
+            centroids=catalog.centroids,
             embedder_fingerprint="x",
             base_fingerprint=catalog.base_fingerprint,
         )
@@ -324,7 +323,7 @@ def test_load_active_rejects_swapped_adapter_files(tmp_path, small_base):
 
 def test_timed_route_merge(tmp_path, small_base):
     catalog = build_catalog_dir(tmp_path, small_base, 5, ["abcd", "efgh"])
-    query = catalog.records[2].centroid
+    query = catalog.centroids[2]
     for beta in (1e-3, 1.0):  # a sharp and a flat routing
         merged, report = cat.timed_route_merge(catalog, query, RoutingConfig(beta=beta, tau=0.0))
         support = merged.provenance.support

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import math
+
 import pytest
 
 from expertmerge.config import EvalProtocol, RunConfig
@@ -51,6 +53,62 @@ def test_yaml_routing_must_be_finite(tmp_path, field, value):
     path.write_text(f"routing:\n  {field}: {value}\n")
     with pytest.raises(ValueError, match=f"{field} must be"):
         RunConfig.load(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n_clusters: .nan\n", "bad config: n_clusters must be an integer"),
+        ("n_clusters: true\n", "bad config: n_clusters must be an integer"),
+        ("hidden: 8.5\n", "bad config: hidden must be an integer"),
+        ("corpus:\n  seed: 1.0\n", "bad config: corpus.seed must be an integer"),
+        ("base_train:\n  max_seq_len: '256'\n", "bad config: base_train.max_seq_len must be"),
+        ("routing:\n  fixed_n: .nan\n", "fixed_n must be an integer"),
+        ("routing:\n  fixed_n: true\n", "fixed_n must be an integer"),
+        ("embedder:\n  ngram_orders: [2.5]\n", "ngram orders must be integers"),
+    ],
+)
+def test_integer_fields_take_only_integers(tmp_path, text, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize(
+    "field, bad, good",
+    [
+        ("hidden", [0, -1], [1]),
+        ("ttt_neighbors", [0, -3], [1]),
+        ("lora_rank", [0, -2], [1]),
+        ("lora_alpha", [0.0, -1.0, math.inf, math.nan], [1e-3]),
+        ("base_pretrain_fraction", [0.0, -0.1, 1.5, math.nan], [1.0, 1e-3]),
+    ],
+)
+def test_run_config_ranges(field, bad, good):
+    for value in bad:
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+    for value in good:
+        assert getattr(RunConfig(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("text", ["routing:\n  - a\n", "routing: 5\n", "embedder: [1, 2]\n"])
+def test_section_must_be_a_mapping(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    section = text.partition(":")[0]
+    with pytest.raises(ValueError, match=f"^bad config: {section} must be a mapping$"):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize("text", ["a: [", "a: b: c\n", "x: \"abc\n", "x: 1\n\x00"])
+def test_malformed_yaml_is_a_value_error(tmp_path, text):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^bad config: .*run.yaml is not valid YAML") as info:
+        RunConfig.load(path)
+    assert "\n" not in str(info.value)
 
 
 def test_protocol_validation():

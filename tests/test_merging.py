@@ -96,6 +96,26 @@ def test_apply_then_subtract_recovers_base(small_base):
     # base itself untouched
     for name in merged.deltas:
         assert not np.array_equal(getattr(model, name), getattr(small_base, name))
+    # a matrix that no delta touches is the base's own array, not a copy
+    assert model.embed_table is small_base.embed_table
+
+
+def test_apply_overflow_raises(small_base):
+    from expertmerge.merging import MergedAdapter
+
+    base = lm.BaseParams(
+        vocab=small_base.vocab,
+        embed_table=small_base.embed_table,
+        block0=small_base.block0,
+        block1=small_base.block1,
+        out_proj=np.full_like(small_base.out_proj, 3e38),
+    )
+    delta = np.zeros_like(base.out_proj)
+    delta[0, 0] = 3e38  # finite in float32, but W + delta is not
+    merged = MergedAdapter(deltas={"out_proj": delta}, provenance=MergeWeights(entries={0: 1.0}))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite entries in out_proj"):
+            apply_merged(base, merged)
 
 
 def test_apply_shape_mismatch(small_base):

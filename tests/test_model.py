@@ -469,12 +469,11 @@ def random_model(seed: int):
     return base, adapter, docs
 
 
-def reference_log_probs(base, adapter, doc, eval_prefix_len=0, max_seq_len=100_000):
+def reference_log_probs(base, adapter, doc, eval_prefix_len=0):
     """log p(target) at every scored position, one forward call each."""
-    text = doc[:max_seq_len]
-    targets = [base.vocab.symbols.index(ch) for ch in text] + [1]  # EOS last
+    targets = [base.vocab.symbols.index(ch) for ch in doc] + [1]  # EOS last
     return [
-        float(np.log(lm.forward(base, adapter, text[:t])[targets[t]]))
+        float(np.log(lm.forward(base, adapter, doc[:t])[targets[t]]))
         for t in range(eval_prefix_len, len(targets))
     ]
 
@@ -536,10 +535,12 @@ def test_nll_and_grad_match_per_token_reference(seed):
     max_seq_len = 12  # truncation applies to longer documents
     nll, grads = lm.nll_and_grad(base, adapter, docs, max_seq_len)
     ref_nll, ref_dense = reference_dense_grads(base, adapter, docs, max_seq_len)
-    logs = [lp for doc in docs for lp in reference_log_probs(base, adapter, doc, 0, max_seq_len)]
+    # scoring reads whole documents, so it gets them cut as training cuts them
+    cut = [doc[:max_seq_len] for doc in docs]
+    logs = [lp for doc in cut for lp in reference_log_probs(base, adapter, doc)]
     assert nll == pytest.approx(ref_nll, rel=1e-10)
     assert nll == pytest.approx(-np.mean(logs), rel=1e-10)
-    ppl = lm.perplexity(base, adapter, docs, max_seq_len=max_seq_len)
+    ppl = lm.perplexity(base, adapter, cut)
     assert np.log(ppl) == pytest.approx(ref_nll, rel=1e-10)
     ref = []
     for name, (a, b) in adapter.factors.items():

@@ -137,9 +137,7 @@ def test_load_built_roundtrip(built):
     assert reloaded.base.fingerprint() == result.base.fingerprint()
     assert np.array_equal(reloaded.assignment.labels, result.assignment.labels)
     assert np.array_equal(reloaded.split.train_idx, result.split.train_idx)
-    assert np.array_equal(
-        reloaded.catalog.centroid_matrix(), result.catalog.centroid_matrix()
-    )
+    assert np.array_equal(reloaded.catalog.centroids, result.catalog.centroids)
     assert np.array_equal(reloaded.embeddings, embed_corpus(cfg.embedder, docs))
 
 
@@ -255,6 +253,34 @@ def test_cli_build_error_exit_code(tiny_corpus, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a: [", r"run\.yaml is not valid YAML \(expected the node content, .* line 1, column 5\)"),
+        ("routing:\n  - a\n", "routing must be a mapping"),
+    ],
+)
+def test_cli_bad_config_file_is_one_error_line(tiny_corpus, tmp_path, capsys, text, message):
+    _, corpus_path, _ = tiny_corpus
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text(text)
+    assert main(["build", str(corpus_path), str(tmp_path / "cat"), "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: bad config: ")
+    assert re.search(message, err)
+
+
+def test_cli_damaged_catalog_config_is_one_error_line(built, tmp_path, capsys):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    (root / "config.yaml").write_text("seed: 0\nrouting: [\n")
+    assert main(["generate", str(root), docs[0][:6]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: bad config: {root / 'config.yaml'} is not valid YAML (")
+
+
 def test_cli_bench(tiny_corpus, tmp_path, capsys):
     _, corpus_path, cfg = tiny_corpus
     cat_dir = tmp_path / "cat"
@@ -283,7 +309,7 @@ def test_cli_bench(tiny_corpus, tmp_path, capsys):
 
 def test_bench_sweep_n_active_monotone(built):
     result, docs, cfg = built
-    query = result.catalog.records[0].centroid
+    query = result.catalog.centroids[0]
     rows = bench_sweep(result.catalog, query, [0.0, 0.05, 0.2], [0.05], repetitions=2)
     actives = [row["n_active"] for row in rows]
     assert actives == sorted(actives, reverse=True)
