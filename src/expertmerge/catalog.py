@@ -311,13 +311,7 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
 
 def save_base(base: lm.BaseParams, root: str | Path) -> None:
     root = Path(root)
-    np.savez(
-        root / "base.npz",
-        embed_table=base.embed_table,
-        block0=base.block0,
-        block1=base.block1,
-        out_proj=base.out_proj,
-    )
+    np.savez(root / "base.npz", **{name: getattr(base, name) for name in lm.DENSE_NAMES})
     (root / "vocab.txt").write_text(base.vocab.symbols[2:], encoding="utf-8")
 
 
@@ -326,13 +320,7 @@ def load_base(root: str | Path) -> lm.BaseParams:
     arrays = np.load(root / "base.npz")
     chars = (root / "vocab.txt").read_text(encoding="utf-8")
     vocab = lm.Vocab(symbols=lm.BOS + lm.EOS + chars)
-    return lm.BaseParams(
-        vocab=vocab,
-        embed_table=arrays["embed_table"],
-        block0=arrays["block0"],
-        block1=arrays["block1"],
-        out_proj=arrays["out_proj"],
-    )
+    return lm.BaseParams(vocab=vocab, **{name: arrays[name] for name in lm.DENSE_NAMES})
 
 
 def load_active(catalog: ExpertCatalog, ids: Iterable[int]) -> dict[int, lm.LoraAdapter]:

@@ -81,6 +81,17 @@ def _diameter(points: np.ndarray) -> float:
     return 2.0 * float(_row_distances(points, points.mean(axis=0)).max())
 
 
+def _sse(x: np.ndarray, labels: np.ndarray, K: int) -> float:
+    """Sum of squared distances of the rows of x to the mean of their label's
+    rows, over labels 0..K-1 (a label with no rows adds nothing)."""
+    total = 0.0
+    for k in range(K):
+        part = x[labels == k]
+        if len(part):
+            total += float(((part - part.mean(axis=0)) ** 2).sum())
+    return total
+
+
 def _two_means_labels(points: np.ndarray, c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
     d0 = _row_distances(points, c0)
     d1 = _row_distances(points, c1)
@@ -101,12 +112,7 @@ def _two_means(points: np.ndarray, init: tuple[np.ndarray, np.ndarray]) -> tuple
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    loss = 0.0
-    for side in (0, 1):
-        part = points[labels == side]
-        if len(part):
-            loss += float(((part - part.mean(axis=0)) ** 2).sum())
-    return labels, loss
+    return labels, _sse(points, labels, 2)
 
 
 def _farthest_pair_init(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,12 +217,7 @@ def bisecting_kmeans(embeddings: np.ndarray, K: int, seed: int) -> ClusterAssign
 
 def kmeans_loss(embeddings: np.ndarray, assignment: ClusterAssignment) -> float:
     """Sum of squared distances to the (un-normalized) cluster means."""
-    x = np.asarray(embeddings, dtype=np.float64)
-    total = 0.0
-    for k in range(assignment.K):
-        part = x[assignment.members(k)]
-        total += float(((part - part.mean(axis=0)) ** 2).sum())
-    return total
+    return _sse(np.asarray(embeddings, dtype=np.float64), assignment.labels, assignment.K)
 
 
 def compute_centroids(embeddings: np.ndarray, assignment: ClusterAssignment) -> CentroidSet:

@@ -36,23 +36,16 @@ class EvalProtocol:
             raise ValueError("holdout_fraction must be in [0, 1)")
 
 
-def _check_ints(defaults: Any, values: dict[str, Any], prefix: str) -> None:
-    """Reject a bool or a non-int for each key whose default value is an int."""
+def _check_numbers(defaults: Any, values: dict[str, Any], prefix: str) -> None:
+    """Reject a bool or a non-number for each key whose default value is a
+    number: an int field takes an int, a float field an int or a float."""
     for key, value in values.items():
-        if type(getattr(defaults, key, None)) is int and (
-            isinstance(value, bool) or not isinstance(value, int)
+        kind = type(getattr(defaults, key, None))
+        if kind in (int, float) and (
+            isinstance(value, bool) or not isinstance(value, (int, kind))
         ):
-            raise ValueError(f"bad config: {prefix}{key} must be an integer, got {value!r}")
-
-
-def _desk_train(seed: int, lr: float, epochs: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=lr,
-        batch_size=4,
-        epochs=epochs,
-        max_seq_len=256,
-        seed=seed,
-    )
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"bad config: {prefix}{key} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -67,8 +60,10 @@ class RunConfig:
     ttt_learning_rate: float = 2e-3
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
     corpus: CorpusConfig = field(default_factory=CorpusConfig)
-    base_train: TrainConfig = field(default_factory=lambda: _desk_train(0, 5e-3, 1))
-    expert_train: TrainConfig = field(default_factory=lambda: _desk_train(0, 1e-2, 2))
+    base_train: TrainConfig = field(default_factory=lambda: TrainConfig(learning_rate=5e-3))
+    expert_train: TrainConfig = field(
+        default_factory=lambda: TrainConfig(learning_rate=1e-2, epochs=2)
+    )
     routing: RoutingConfig = field(default_factory=RoutingConfig)
     protocol: EvalProtocol = field(default_factory=EvalProtocol)
 
@@ -131,13 +126,13 @@ class RunConfig:
                     sub = dict(value)
                     if key == "routing":
                         sub.pop("weighting", None)  # removed with the sift option
-                    _check_ints(getattr(defaults, key), sub, f"{key}.")
+                    _check_numbers(getattr(defaults, key), sub, f"{key}.")
                     if "ngram_orders" in sub:
                         sub["ngram_orders"] = tuple(sub["ngram_orders"])
                     kwargs[key] = cls._NESTED[key](**sub)
                 else:
                     kwargs[key] = value
-            _check_ints(defaults, kwargs, "")
+            _check_numbers(defaults, kwargs, "")
             return cls(**kwargs)
         except TypeError as exc:
             raise ValueError(f"bad config: {exc}") from exc

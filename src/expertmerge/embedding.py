@@ -59,8 +59,8 @@ def bucket_sign(config: EmbedderConfig, gram: str) -> tuple[int, int]:
     return bucket, sign
 
 
-def _embed_texts(config: EmbedderConfig, texts: list[str]) -> np.ndarray:
-    """Embed each text into one row of an (n, dim) float32 matrix.
+def embed_corpus(config: EmbedderConfig, docs: list[str]) -> np.ndarray:
+    """Embed each document into one unit-norm row of an (n, dim) float32 matrix.
 
     Each character n-gram of each configured order is hashed into one of
     dim buckets with a ±1 sign; bucket sums are averaged over the n-gram
@@ -71,8 +71,8 @@ def _embed_texts(config: EmbedderConfig, texts: list[str]) -> np.ndarray:
     """
     keyed = hashlib.blake2b(key=config.hash_seed.to_bytes(8, "little"), digest_size=8)
     codes_of: dict[str, int] = {}
-    out = np.empty((len(texts), config.dim), dtype=np.float32)
-    for row, text in enumerate(texts):
+    out = np.empty((len(docs), config.dim), dtype=np.float32)
+    for row, text in enumerate(docs):
         if not text:
             raise ValueError("empty sequence")
         grams = ngrams(text, config.ngram_orders)
@@ -94,9 +94,4 @@ def _embed_texts(config: EmbedderConfig, texts: list[str]) -> np.ndarray:
 
 def embed(config: EmbedderConfig, text: str) -> np.ndarray:
     """Embed text into a unit-norm float32 vector of length config.dim."""
-    return _embed_texts(config, [text])[0]
-
-
-def embed_corpus(config: EmbedderConfig, docs: list[str]) -> np.ndarray:
-    """Stack embeddings of all documents into an (n, dim) float32 matrix."""
-    return _embed_texts(config, docs)
+    return embed_corpus(config, [text])[0]

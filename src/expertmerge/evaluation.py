@@ -9,8 +9,7 @@ and the headline perplexity table across methods.
 from __future__ import annotations
 
 import dataclasses
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,10 +75,11 @@ def ttt_adapt(
     if N > len(corpus_docs):
         raise ValueError(f"N={N} exceeds corpus size {len(corpus_docs)}")
     sims = corpus_embeddings.astype(np.float64) @ np.asarray(query, dtype=np.float64)
-    neighbors = [corpus_docs[i] for i in routing.top_n(sims, N)]
+    neighbors = routing.top_n(sims, N)
+    keys = [lm._pair_keys(base.vocab, corpus_docs[i], cfg.max_seq_len) for i in neighbors]
 
     init = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
-    return lm.fit_adapter(base, init, ([doc] for doc in neighbors), cfg)
+    return lm.fit_adapter(base, init, ([k] for k in keys), cfg)
 
 
 def expert_cluster_matrix(
@@ -145,16 +145,16 @@ class ProbeResult:
 
 def _full_batch_gd(
     base: lm.BaseParams,
-    docs: list[str],
+    keys: list[np.ndarray],
     init: lm.LoraAdapter,
     eta: float,
     T: int,
 ) -> lm.LoraAdapter:
-    """Plain gradient descent on the mean of per-document losses."""
+    """Plain gradient descent on the mean of the losses of each document's _pair_keys."""
     theta = init.flat()
     for _ in range(T):
         work = init.with_flat(theta)
-        grad = sum(lm.nll_and_grad(base, work, [doc])[1] / len(docs) for doc in docs)
+        grad = sum(lm.nll_and_grad(base, work, [k])[1] / len(keys) for k in keys)
         theta = theta - eta * grad
     return init.with_flat(theta)
 
@@ -185,11 +185,11 @@ def proposition_probe(
     if not np.intersect1d(nn_idx, other_idx).size:
         raise ValueError("proposition precondition violated: sets do not intersect")
 
-    nn_docs = [corpus_docs[i] for i in nn_idx]
-    other_docs = [corpus_docs[i] for i in other_idx]
+    nn_keys = [lm._pair_keys(base.vocab, corpus_docs[i]) for i in nn_idx]
+    other_keys = [lm._pair_keys(base.vocab, corpus_docs[i]) for i in other_idx]
     init = lm.LoraAdapter.init(base, rank=2, alpha=2.0, seed=seed)
-    theta_nn = _full_batch_gd(base, nn_docs, init, probe.eta, probe.T)
-    theta_other = _full_batch_gd(base, other_docs, init, probe.eta, probe.T)
+    theta_nn = _full_batch_gd(base, nn_keys, init, probe.eta, probe.T)
+    theta_other = _full_batch_gd(base, other_keys, init, probe.eta, probe.T)
 
     p_nn = lm.forward(base, theta_nn, prompt)
     p_other = lm.forward(base, theta_other, prompt)
@@ -198,8 +198,8 @@ def proposition_probe(
     diam_nn = _pairwise_max_distance(corpus_embeddings[nn_idx])
     diam_other = _pairwise_max_distance(corpus_embeddings[other_idx])
 
-    grads_nn = [lm.nll_and_grad(base, init, [d])[1] for d in nn_docs]
-    grads_other = [lm.nll_and_grad(base, init, [d])[1] for d in other_docs]
+    grads_nn = [lm.nll_and_grad(base, init, [k])[1] for k in nn_keys]
+    grads_other = [lm.nll_and_grad(base, init, [k])[1] for k in other_keys]
     ratio = 0.0
     for i, gi in zip(nn_idx, grads_nn):
         for j, gj in zip(other_idx, grads_other):
@@ -268,30 +268,20 @@ DEFAULT_METHODS = (
 @dataclass
 class EvalReport:
     perplexities: dict[str, float]
-    matrix: np.ndarray | None = None
-    diagonal_rowmin_fraction: float | None = None
-    pass_at_n: list[tuple[int, float]] = field(default_factory=list)
-    config_echo: str = ""
+    matrix: np.ndarray
+    diagonal_rowmin_fraction: float
+    pass_at_n: list[tuple[int, float]]
+    config_echo: str
 
     def to_text(self) -> str:
-        out = io.StringIO()
-        out.write("perplexity by method\n")
-        for method, ppl in self.perplexities.items():
-            out.write(f"  {method}: {ppl:.6f}\n")
-        if self.diagonal_rowmin_fraction is not None:
-            out.write(
-                f"expert-cluster diagonal row-min fraction: "
-                f"{self.diagonal_rowmin_fraction:.4f}\n"
-            )
-        if self.pass_at_n:
-            out.write("pass@N\n")
-            for n, acc in self.pass_at_n:
-                out.write(f"  {n}: {acc:.4f}\n")
-        if self.config_echo:
-            out.write("config\n")
-            for line in self.config_echo.splitlines():
-                out.write(f"  {line}\n")
-        return out.getvalue()
+        lines = ["perplexity by method"]
+        lines += [f"  {method}: {ppl:.6f}" for method, ppl in self.perplexities.items()]
+        lines.append(
+            f"expert-cluster diagonal row-min fraction: {self.diagonal_rowmin_fraction:.4f}"
+        )
+        lines += ["pass@N"] + [f"  {n}: {acc:.4f}" for n, acc in self.pass_at_n]
+        lines += ["config"] + [f"  {line}" for line in self.config_echo.splitlines()]
+        return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         rows = ["method,perplexity"]
@@ -335,20 +325,20 @@ def run_table1(
 
     all_adapters = load_active(catalog, range(K))
 
-    report = EvalReport(perplexities={}, config_echo=cfg.to_yaml())
+    perplexities: dict[str, float] = {}
 
     def per_doc_mean(ppls: list[float]) -> float:
         # average in NLL space: exp(mean log ppl)
         return float(np.exp(np.mean(np.log(ppls))))
 
     if "base" in methods:
-        report.perplexities["base"] = lm.perplexity(base, None, test_docs, epl)
+        perplexities["base"] = lm.perplexity(base, None, test_docs, epl)
 
     if "finetune" in methods:
         ft = global_finetune(
             base, train_docs, cfg.expert_train, cfg.lora_rank, cfg.lora_alpha
         )
-        report.perplexities["finetune"] = lm.perplexity(base, ft, test_docs, epl)
+        perplexities["finetune"] = lm.perplexity(base, ft, test_docs, epl)
 
     def merged_ppl(weights: MergeWeights, doc: str) -> float:
         adapted = merging.apply_merged(base, merging.merge_adapters(weights, all_adapters))
@@ -369,7 +359,7 @@ def run_table1(
                 score(routing.route(query, catalog, route_cfg), docs[i])
                 for (_, i), query in zip(test_pairs, queries)
             ]
-            report.perplexities[label] = per_doc_mean(ppls)
+            perplexities[label] = per_doc_mean(ppls)
 
     if "ttt" in methods:
         train_embs = embeddings[split.train_idx]
@@ -389,16 +379,19 @@ def run_table1(
                 cfg.lora_alpha,
             )
             ppls.append(lm.perplexity(base, adapter, [docs[i]], epl))
-        report.perplexities["ttt"] = per_doc_mean(ppls)
+        perplexities["ttt"] = per_doc_mean(ppls)
 
     # diagnostics: expert-cluster matrix on capped holdout, pass@N
     capped = {k: split.holdout[k][:MAX_HOLDOUT_DOCS] for k in range(K)}
     holdout_docs = {k: [docs[i] for i in capped[k]] or [docs[split.test[k]]] for k in range(K)}
     matrix = expert_cluster_matrix(base, all_adapters, holdout_docs, epl)
-    report.matrix = matrix
-    report.diagonal_rowmin_fraction = diagonal_rowmin_fraction(matrix)
 
     samples = [(embeddings[i], k) for k, idx in capped.items() for i in idx]
     n_list = sorted({1, min(3, K), min(10, K), K})
-    report.pass_at_n = pass_at_n(catalog.centroids, samples, n_list)
-    return report
+    return EvalReport(
+        perplexities=perplexities,
+        matrix=matrix,
+        diagonal_rowmin_fraction=diagonal_rowmin_fraction(matrix),
+        pass_at_n=pass_at_n(catalog.centroids, samples, n_list),
+        config_echo=cfg.to_yaml(),
+    )

@@ -21,6 +21,9 @@ EOS = "\x03"
 
 # names of the matrices an adapter may target, in storage order
 TARGET_NAMES = ("block0", "block1", "out_proj")
+# the dense weights of one model, in the order BaseParams stores them
+DENSE_NAMES = ("embed_table",) + TARGET_NAMES
+
 
 def _code_points(text: str) -> np.ndarray:
     """One uint32 per character of text (lone surrogates included)."""
@@ -89,7 +92,7 @@ class BaseParams:
                 raise ValueError(f"{name} must be ({h}, {h})")
         if self.out_proj.shape != (v, h):
             raise ValueError(f"out_proj must be ({v}, {h})")
-        for name in ("embed_table", "block0", "block1", "out_proj"):
+        for name in DENSE_NAMES:
             arr = getattr(self, name)
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite entries in {name}")
@@ -104,7 +107,7 @@ class BaseParams:
         """32-byte digest of architecture and weights."""
         digest = hashlib.sha256()
         digest.update(self.vocab.symbols.encode("utf-8"))
-        for name in ("embed_table", "block0", "block1", "out_proj"):
+        for name in DENSE_NAMES:
             arr = getattr(self, name)
             digest.update(name.encode())
             digest.update(np.array(arr.shape, dtype=np.int64).tobytes())
@@ -222,10 +225,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-# the dense weights of one model, in the order BaseParams stores them
-DENSE_NAMES = ("embed_table",) + TARGET_NAMES
-
-
 def _effective_weights(
     base: BaseParams, adapter: LoraAdapter | None
 ) -> dict[str, np.ndarray]:
@@ -273,18 +272,16 @@ def forward(
     return _softmax(logits)[0]
 
 
-def _pair_counts(
-    vocab: Vocab, docs: list[str], max_seq_len: int | None, eval_prefix_len: int = 0
-) -> np.ndarray:
-    """(V, V) count of each (input, target) pair over the docs, each cut to
-    max_seq_len (None: whole), skipping the first eval_prefix_len predictions
-    of each; BOS is the first input and EOS the last target."""
-    v = vocab.size
-    keys = []
-    for doc in docs:
-        ids = vocab.encode(doc[:max_seq_len])
-        pairs = np.concatenate(([0], ids)) * v + np.concatenate((ids, [1]))
-        keys.append(pairs[eval_prefix_len:])
+def _pair_keys(vocab: Vocab, doc: str, max_seq_len: int | None = None) -> np.ndarray:
+    """Key input * V + target of each (input, target) pair of doc, cut to
+    max_seq_len characters (None: whole); BOS is the first input and EOS
+    the last target."""
+    ids = vocab.encode(doc[:max_seq_len])
+    return np.concatenate(([0], ids)) * vocab.size + np.concatenate((ids, [1]))
+
+
+def _pair_counts(v: int, keys: list[np.ndarray]) -> np.ndarray:
+    """(v, v) count of each (input, target) pair over the keys' arrays."""
     return np.bincount(np.concatenate(keys), minlength=v * v).reshape(v, v).astype(np.float64)
 
 
@@ -297,7 +294,7 @@ def _scored_counts(vocab: Vocab, docs: list[str], eval_prefix_len: int) -> np.nd
             raise ValueError(
                 f"document shorter than eval prefix ({len(doc)} <= {eval_prefix_len}): {doc[:32]!r}"
             )
-    return _pair_counts(vocab, docs, None, eval_prefix_len)
+    return _pair_counts(vocab.size, [_pair_keys(vocab, doc)[eval_prefix_len:] for doc in docs])
 
 
 def _nll(table: np.ndarray, counts: np.ndarray) -> float:
@@ -334,17 +331,14 @@ def _backward(
 
 
 def nll_and_grad(
-    base: BaseParams,
-    adapter: LoraAdapter,
-    docs: list[str],
-    max_seq_len: int = 256,
+    base: BaseParams, adapter: LoraAdapter, keys: list[np.ndarray]
 ) -> tuple[float, np.ndarray]:
-    """Mean next-token NLL over the batch and its gradient w.r.t. the
-    factors, as one vector in the adapter.flat() layout."""
-    if not docs:
+    """Mean next-token NLL over a batch of documents' _pair_keys and its
+    gradient w.r.t. the factors, as one vector in the adapter.flat() layout."""
+    if not keys:
         raise ValueError("empty batch")
     weights = _effective_weights(base, adapter)
-    nll, d_w = _backward(weights, _pair_counts(base.vocab, docs, max_seq_len))
+    nll, d_w = _backward(weights, _pair_counts(base.vocab.size, keys))
     grads = []
     for name, (a, b) in adapter.factors.items():
         dw = d_w[name]
@@ -375,19 +369,19 @@ class _AdamW:
         )
 
 
-def _minibatches(docs: list[str], cfg: TrainConfig) -> Iterator[list[str]]:
-    """cfg.epochs passes over docs in seeded shuffled batches of cfg.batch_size."""
+def _minibatches(keys: list[np.ndarray], cfg: TrainConfig) -> Iterator[list[np.ndarray]]:
+    """cfg.epochs passes over keys in seeded shuffled batches of cfg.batch_size."""
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.epochs):
-        order = rng.permutation(len(docs))
-        for start in range(0, len(docs), cfg.batch_size):
-            yield [docs[i] for i in order[start : start + cfg.batch_size]]
+        order = rng.permutation(len(keys))
+        for start in range(0, len(keys), cfg.batch_size):
+            yield [keys[i] for i in order[start : start + cfg.batch_size]]
 
 
 def _fit(
     theta: np.ndarray,
-    batches: Iterable[list[str]],
-    loss_and_grad: Callable[[list[str]], tuple[float, np.ndarray]],
+    batches: Iterable[list[np.ndarray]],
+    loss_and_grad: Callable[[list[np.ndarray]], tuple[float, np.ndarray]],
     cfg: TrainConfig,
 ) -> None:
     """One AdamW step per batch on theta, in place; stops on a non-finite loss."""
@@ -400,14 +394,14 @@ def _fit(
 
 
 def fit_adapter(
-    base: BaseParams, init: LoraAdapter, batches: Iterable[list[str]], cfg: TrainConfig
+    base: BaseParams, init: LoraAdapter, batches: Iterable[list[np.ndarray]], cfg: TrainConfig
 ) -> LoraAdapter:
-    """Train init's factors with one AdamW step per batch. Each gradient is
-    taken at the float32-rounded factors that the result stores."""
+    """Train init's factors with one AdamW step per batch of _pair_keys. Each
+    gradient is taken at the float32-rounded factors that the result stores."""
     theta = init.flat()
 
-    def loss_and_grad(batch: list[str]) -> tuple[float, np.ndarray]:
-        return nll_and_grad(base, init.with_flat(theta), batch, cfg.max_seq_len)
+    def loss_and_grad(batch: list[np.ndarray]) -> tuple[float, np.ndarray]:
+        return nll_and_grad(base, init.with_flat(theta), batch)
 
     _fit(theta, batches, loss_and_grad, cfg)
     return init.with_flat(theta)
@@ -425,7 +419,8 @@ def train_adapter(
     if not docs:
         raise ValueError("docs must be non-empty")
     init = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed, targets=targets)
-    return fit_adapter(base, init, _minibatches(docs, cfg), cfg)
+    keys = [_pair_keys(base.vocab, doc, cfg.max_seq_len) for doc in docs]
+    return fit_adapter(base, init, _minibatches(keys, cfg), cfg)
 
 
 def train_base(
@@ -438,11 +433,12 @@ def train_base(
     theta = _ravel(init)
     weights = dict(zip(DENSE_NAMES, _unravel(theta, init)))  # views of theta
 
-    def loss_and_grad(batch: list[str]) -> tuple[float, np.ndarray]:
-        nll, grads = _backward(weights, _pair_counts(vocab, batch, cfg.max_seq_len))
+    def loss_and_grad(batch: list[np.ndarray]) -> tuple[float, np.ndarray]:
+        nll, grads = _backward(weights, _pair_counts(vocab.size, batch))
         return nll, _ravel(grads[n] for n in DENSE_NAMES)
 
-    _fit(theta, _minibatches(docs, cfg), loss_and_grad, cfg)
+    keys = [_pair_keys(vocab, doc, cfg.max_seq_len) for doc in docs]
+    _fit(theta, _minibatches(keys, cfg), loss_and_grad, cfg)
     return BaseParams(vocab=vocab, **{n: w.astype(np.float32) for n, w in weights.items()})
 
 

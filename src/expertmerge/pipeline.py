@@ -158,11 +158,14 @@ def _load_embeddings(catalog_dir: Path, docs: list[str], dim: int) -> np.ndarray
 def open_catalog(
     catalog_dir: str | Path,
 ) -> tuple[RunConfig, store.ExpertCatalog, lm.BaseParams]:
-    """The config, manifest and base model of a built catalog, with the base
-    checked against the fingerprint the manifest records."""
+    """The config, manifest and base model of a built catalog, with the
+    config's embedder and the base checked against the fingerprints the
+    manifest records."""
     catalog_dir = Path(catalog_dir)
     cfg = RunConfig.load(catalog_dir / "config.yaml")
     cat = store.load_catalog(catalog_dir)
+    if cfg.embedder.fingerprint() != cat.embedder_fingerprint:
+        raise ValueError(f"catalog {catalog_dir}: embedder fingerprint mismatch")
     base = store.load_base(catalog_dir)
     if base.fingerprint() != cat.base_fingerprint:
         raise ValueError(f"catalog {catalog_dir}: base fingerprint mismatch")
@@ -177,9 +180,14 @@ def load_built(docs: list[str], catalog_dir: str | Path) -> BuildResult:
     embeddings = _load_embeddings(catalog_dir, docs, cfg.embedder.dim)
     path = catalog_dir / ASSIGNMENT_NAME
     try:
-        labels = [int(line.split()[1]) for line in path.read_text().splitlines()]
+        labels = []
+        for i, line in enumerate(path.read_text().splitlines()):
+            index, label = line.split()
+            if int(index) != i:
+                raise ValueError(f"line {i + 1} is for document {index}, not {i}")
+            labels.append(int(label))
         assignment = ClusterAssignment(labels=np.array(labels, dtype=np.int64), K=cat.K)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"catalog {catalog_dir}: cannot parse {ASSIGNMENT_NAME} ({exc})") from exc
     split = split_holdout(len(docs), assignment, cfg.protocol)
     return BuildResult(

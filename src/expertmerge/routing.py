@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _softmax
+
 
 @dataclass(frozen=True)
 class RoutingConfig:
@@ -57,12 +59,6 @@ class MergeWeights:
     def argmax(self) -> int:
         # lower expert id wins ties
         return min(self.entries, key=lambda k: (-self.entries[k], k))
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 def sparse_softmax(z: np.ndarray, tau: float) -> MergeWeights:
@@ -119,6 +115,4 @@ def rbf_weights(query: np.ndarray, centroids: np.ndarray, beta: float) -> np.nda
     q = np.asarray(query, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
     d2 = ((c - q) ** 2).sum(axis=1)
-    z = -d2 / (2.0 * beta)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return _softmax(-d2 / (2.0 * beta))

@@ -5,10 +5,16 @@ unnoticed until a traced run fails. perfbench/ is only read."""
 import ast
 import importlib
 import inspect
+import math
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import expertmerge
+from conftest import CallCounter
 from expertmerge import model as lm
+from expertmerge.evaluation import ttt_adapt
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,6 +39,23 @@ def test_scored_tokens_annotation_matches_scoring(monkeypatch):
         assert annotate(signature.bind(base, None, docs=docs, eval_prefix_len=epl)) == expected
     default = int(lm._scored_counts(base.vocab, docs, 0).sum())
     assert annotate(signature.bind(base, None, docs)) == default
+
+
+@pytest.mark.parametrize("n, batch_size, epochs", [(7, 2, 3), (4, 4, 2), (5, 8, 1)])
+def test_nll_and_grad_runs_once_per_training_step(monkeypatch, n, batch_size, epochs):
+    # model.nll_and_grad.calls in a traced run counts optimizer steps: one per
+    # minibatch in train_adapter and one per neighbour in ttt_adapt
+    base = lm.BaseParams.init_random(lm.Vocab.from_corpus(["abcdef"]), hidden=4, seed=0)
+    rng = np.random.default_rng(n)
+    docs = ["".join(rng.choice(list("abcdef"), size=int(rng.integers(2, 12)))) for _ in range(n)]
+    counter = CallCounter(monkeypatch, lm, "nll_and_grad")
+    cfg = lm.TrainConfig(batch_size=batch_size, epochs=epochs)
+    lm.train_adapter(base, docs, cfg, rank=2)
+    assert counter.calls == epochs * math.ceil(n / batch_size)
+    counter.calls = 0
+    embs = rng.standard_normal((n, 4)).astype(np.float32)
+    ttt_adapt(base, embs[0], embs, docs, n - 1, lm.TrainConfig(batch_size=1), rank=2, alpha=4.0)
+    assert counter.calls == n - 1
 
 
 def test_called_names_exist():

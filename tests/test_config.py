@@ -1,6 +1,6 @@
-from pathlib import Path
-
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +73,43 @@ def test_integer_fields_take_only_integers(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         RunConfig.load(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("expert_train:\n  adam_beta1: x\n", "expert_train.adam_beta1 must be a number, got 'x'"),
+        ("ttt_learning_rate: abc\n", "ttt_learning_rate must be a number, got 'abc'"),
+        ("corpus:\n  follow_prob: true\n", "corpus.follow_prob must be a number, got True"),
+        ("routing:\n  beta: true\n", "routing.beta must be a number, got True"),
+    ],
+)
+def test_float_fields_take_only_numbers(tmp_path, text, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"bad config: {message}")):
+        RunConfig.load(path)
+
+
+def test_float_fields_take_ints(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("lora_alpha: 8\nrouting:\n  beta: 1\nexpert_train:\n  weight_decay: 0\n")
+    cfg = RunConfig.load(path)
+    assert (cfg.lora_alpha, cfg.routing.beta, cfg.expert_train.weight_decay) == (8, 1, 0)
+
+
+def test_cli_build_reports_a_bad_float_in_one_line(tmp_path, capsys):
+    from expertmerge.cli import main
+
+    cfg_path = tmp_path / "run.yaml"
+    cfg_path.write_text("expert_train:\n  adam_beta1: x\n")
+    corpus_path = tmp_path / "corpus.txt"
+    corpus_path.write_text("abcabc\nbcabca\n")
+    rc = main(["build", str(corpus_path), str(tmp_path / "cat"), "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: bad config: expert_train.adam_beta1 must be a number, got 'x'\n"
+    assert not (tmp_path / "cat").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from conftest import CallCounter
 from expertmerge import model as lm
+
+
+def doc_keys(vocab: lm.Vocab, docs: list[str], max_seq_len: int | None = None):
+    """Each document's (input, target) pair keys, the batch nll_and_grad reads."""
+    return [lm._pair_keys(vocab, doc, max_seq_len) for doc in docs]
 
 
 def zero_base(vocab: lm.Vocab, hidden: int = 4) -> lm.BaseParams:
@@ -132,7 +138,7 @@ def test_gradients_match_finite_differences():
             (rng.standard_normal(b.shape) * 0.1).astype(np.float32),
         )
     docs = ["abca", "cab"]
-    _, analytic = lm.nll_and_grad(base, adapter, docs)
+    _, analytic = lm.nll_and_grad(base, adapter, doc_keys(vocab, docs))
     numeric = finite_difference_grads(base, adapter, docs)
     assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -140,15 +146,15 @@ def test_gradients_match_finite_differences():
 def test_nll_uniform_model(tiny_vocab):
     base = zero_base(tiny_vocab)
     adapter = lm.LoraAdapter.init(base, rank=1, seed=0)
-    nll, _ = lm.nll_and_grad(base, adapter, ["a"])
+    nll, _ = lm.nll_and_grad(base, adapter, doc_keys(tiny_vocab, ["a"]))
     assert nll == pytest.approx(np.log(tiny_vocab.size), rel=1e-12)
 
 
 def test_nll_batch_doubling_invariant(tiny_base):
     adapter = lm.LoraAdapter.init(tiny_base, rank=2, seed=4)
-    docs = ["ab", "cba"]
-    nll_once, _ = lm.nll_and_grad(tiny_base, adapter, docs)
-    nll_twice, _ = lm.nll_and_grad(tiny_base, adapter, docs + docs)
+    keys = doc_keys(tiny_base.vocab, ["ab", "cba"])
+    nll_once, _ = lm.nll_and_grad(tiny_base, adapter, keys)
+    nll_twice, _ = lm.nll_and_grad(tiny_base, adapter, keys + keys)
     assert nll_twice == pytest.approx(nll_once, rel=1e-12)
 
 
@@ -183,6 +189,18 @@ def test_train_deterministic(tiny_base):
     for name in a1.factors:
         assert np.array_equal(a1.factors[name][0], a2.factors[name][0])
         assert np.array_equal(a1.factors[name][1], a2.factors[name][1])
+
+
+@pytest.mark.parametrize("train", ["adapter", "base"])
+def test_training_encodes_each_document_once(tiny_base, monkeypatch, train):
+    docs = ["abc", "cab", "bca", "aabb", "c"]
+    counter = CallCounter(monkeypatch, lm.Vocab, "encode")
+    cfg = lm.TrainConfig(batch_size=2, epochs=2)
+    if train == "adapter":
+        lm.train_adapter(tiny_base, docs, cfg, rank=2)
+    else:
+        lm.train_base(tiny_base.vocab, docs, cfg, hidden=4)
+    assert counter.calls == len(docs)
 
 
 def test_train_diverged_reported(tiny_base, monkeypatch):
@@ -278,7 +296,7 @@ def reference_fit_adapter(base, init, batches, cfg):
     def loss_and_grad(batch):
         adapter = rounded()
         weights = lm._effective_weights(base, adapter)
-        nll, dense = lm._backward(weights, lm._pair_counts(base.vocab, batch, cfg.max_seq_len))
+        nll, dense = lm._backward(weights, lm._pair_counts(base.vocab.size, batch))
         grads = {}
         for n, (a, b) in adapter.factors.items():
             grads[n, "A"] = adapter.scale * (b.astype(np.float64).T @ dense[n])
@@ -303,7 +321,8 @@ def test_train_adapter_matches_dict_adamw(seed):
     targets = lm.TARGET_NAMES[seed:]
     got = lm.train_adapter(base, docs, cfg, rank=2, alpha=3.0, targets=targets)
     init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed, targets=targets)
-    assert_same_adapter(got, reference_fit_adapter(base, init, lm._minibatches(docs, cfg), cfg))
+    batches = lm._minibatches(doc_keys(base.vocab, docs, cfg.max_seq_len), cfg)
+    assert_same_adapter(got, reference_fit_adapter(base, init, batches, cfg))
     assert any(b.any() for _, b in got.factors.values())
 
 
@@ -321,7 +340,8 @@ def test_ttt_adapt_matches_dict_adamw(seed):
     sims = embs.astype(np.float64) @ query.astype(np.float64)
     order = np.lexsort((np.arange(len(sims)), -sims))[:5]
     init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
-    assert_same_adapter(got, reference_fit_adapter(base, init, ([docs[i]] for i in order), cfg))
+    batches = ([lm._pair_keys(base.vocab, docs[i], cfg.max_seq_len)] for i in order)
+    assert_same_adapter(got, reference_fit_adapter(base, init, batches, cfg))
 
 
 @pytest.mark.parametrize("hidden", [5, 8])
@@ -334,9 +354,10 @@ def test_train_base_matches_dict_adamw(hidden):
     params = {n: getattr(init, n).astype(np.float64) for n in lm.DENSE_NAMES}
 
     def loss_and_grad(batch):
-        return lm._backward(params, lm._pair_counts(vocab, batch, cfg.max_seq_len))
+        return lm._backward(params, lm._pair_counts(vocab.size, batch))
 
-    reference_fit(params, lm._minibatches(docs, cfg), loss_and_grad, cfg)
+    batches = lm._minibatches(doc_keys(vocab, docs, cfg.max_seq_len), cfg)
+    reference_fit(params, batches, loss_and_grad, cfg)
     for n in lm.DENSE_NAMES:
         assert np.array_equal(getattr(got, n), params[n].astype(np.float32))
         assert not np.array_equal(getattr(got, n), getattr(init, n))
@@ -533,7 +554,7 @@ def test_perplexity_matches_per_token_reference(seed, eval_prefix_len):
 def test_nll_and_grad_match_per_token_reference(seed):
     base, adapter, docs = random_model(seed)
     max_seq_len = 12  # truncation applies to longer documents
-    nll, grads = lm.nll_and_grad(base, adapter, docs, max_seq_len)
+    nll, grads = lm.nll_and_grad(base, adapter, doc_keys(base.vocab, docs, max_seq_len))
     ref_nll, ref_dense = reference_dense_grads(base, adapter, docs, max_seq_len)
     # scoring reads whole documents, so it gets them cut as training cuts them
     cut = [doc[:max_seq_len] for doc in docs]
@@ -551,7 +572,7 @@ def test_nll_and_grad_match_per_token_reference(seed):
         assert rel_err(got, want.ravel()) <= 1e-10
     # the same backward trains the base, embedding included
     weights = lm._effective_weights(base, adapter)
-    counts = lm._pair_counts(base.vocab, docs, max_seq_len)
+    counts = lm._pair_counts(base.vocab.size, doc_keys(base.vocab, docs, max_seq_len))
     dense_nll, dense = lm._backward(weights, counts)
     assert dense_nll == pytest.approx(ref_nll, rel=1e-10)
     for name in lm.DENSE_NAMES:

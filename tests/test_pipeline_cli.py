@@ -399,6 +399,38 @@ def test_eval_rejects_malformed_assignment(built, tiny_corpus, tmp_path, capsys,
     assert "cannot parse assignment.txt" in capsys.readouterr().err
 
 
+def test_eval_rejects_reordered_assignment(built, tiny_corpus, tmp_path, capsys):
+    result, docs, _ = built
+    _, corpus_path, _ = tiny_corpus
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    path = root / "assignment.txt"
+    lines = path.read_text().splitlines()
+    lines[0], lines[1] = lines[1], lines[0]
+    path.write_text("\n".join(lines) + "\n")
+    message = "cannot parse assignment.txt (line 1 is for document 1, not 0)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pipeline.load_built(docs, root)
+    assert main(["eval", str(root), str(corpus_path), str(tmp_path / "report")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_open_catalog_rejects_other_embedder(built, tiny_corpus, tmp_path, capsys):
+    result, docs, cfg = built
+    _, corpus_path, _ = tiny_corpus
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    embedder = dataclasses.replace(cfg.embedder, hash_seed=cfg.embedder.hash_seed + 1)
+    dataclasses.replace(cfg, embedder=embedder).save(root / "config.yaml")
+    message = f"catalog {root}: embedder fingerprint mismatch"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pipeline.open_catalog(root)
+    assert main(["eval", str(root), str(corpus_path), str(tmp_path / "report")]) == 1
+    assert message in capsys.readouterr().err
+    assert main(["generate", str(root), docs[0][:6]]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_build_bytes_do_not_depend_on_blas_threads(tmp_path):
     corpus = dataclasses.replace(RunConfig().corpus, docs_per_domain=60)
     corpus_path = tmp_path / "corpus.txt"
