@@ -1,15 +1,19 @@
 """On-disk expert catalog: adapter serialization, manifest, checked loading
 of experts by id, the timed route-load-merge and the tau×beta latency sweep.
 
-Adapter binary format (little-endian throughout):
+Adapter binary format 2 (little-endian throughout):
 
-    magic "TTMM" | version u16 | base fingerprint (32 bytes)
-    | matrix count u32 | per matrix: name length u32, name utf-8,
-      d_out u32, d_in u32, r u32, alpha f32, A row-major f32, B row-major f32
+    HEADER: magic "TTMM" | version u16 | base fingerprint (32 bytes)
+            | d_out u32, d_in u32 of each model.TARGET_NAMES entry
+            | rank u32 | alpha f32
+    | adapter.flat() as f32: A (r, d_in) then B (d_out, r) of each target,
+      row-major
     | checksum u64 (blake2b-64 of all preceding bytes)
 
-The manifest is a human-readable key/value text file; adapters live in
-an adapters/ subdirectory next to it.
+The manifest is a human-readable key/value text file; the centroids are
+centroids.npy beside it, and adapters live in an adapters/ subdirectory.
+Every .npy file of a catalog is read by read_array. A catalog of format 1
+(per-matrix adapter records, centroids and labels as text) must be rebuilt.
 """
 
 from __future__ import annotations
@@ -31,13 +35,34 @@ from .merging import MergedAdapter, merge_adapters
 from .routing import RoutingConfig
 
 MAGIC = b"TTMM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+HEADER = struct.Struct("<4sH32s" + "II" * len(lm.TARGET_NAMES) + "If")
 MANIFEST_NAME = "manifest.txt"
+CENTROIDS_NAME = "centroids.npy"
 ADAPTER_DIR = "adapters"
 
 
 def _checksum64(payload: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
+
+
+def read_array(path: Path, dtype: type, shape: tuple[int | None, ...]) -> np.ndarray:
+    """The .npy array at path, of this dtype and shape (None: any length on
+    that axis). A missing or unreadable file, a pickled or an .npz one, or
+    another dtype or shape raises one ValueError naming the file."""
+    try:
+        with open(path, "rb") as f:
+            array = np.lib.format.read_array(f, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"catalog {path.parent}: cannot read {path.name} ({exc})") from exc
+    if array.dtype != dtype or len(array.shape) != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        raise ValueError(
+            f"catalog {path.parent}: {path.name} is {array.dtype} {array.shape}, "
+            f"expected {np.dtype(dtype)} {shape}"
+        )
+    return array
 
 
 def save_adapter(
@@ -47,20 +72,11 @@ def save_adapter(
     checksum hex that its manifest record holds."""
     if len(base_fingerprint) != 32:
         raise ValueError("base fingerprint must be 32 bytes")
-    chunks = [MAGIC, struct.pack("<H", FORMAT_VERSION), base_fingerprint]
-    names = sorted(adapter.factors)
-    chunks.append(struct.pack("<I", len(names)))
-    for name in names:
-        a, b = adapter.factors[name]
-        raw = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
-        d_out, d_in = b.shape[0], a.shape[1]
-        chunks.append(struct.pack("<III", d_out, d_in, adapter.rank))
-        chunks.append(struct.pack("<f", adapter.alpha))
-        chunks.append(np.ascontiguousarray(a, dtype="<f4").tobytes())
-        chunks.append(np.ascontiguousarray(b, dtype="<f4").tobytes())
-    payload = b"".join(chunks)
+    dims = [d for a, b in adapter.factors.values() for d in (b.shape[0], a.shape[1])]
+    header = HEADER.pack(
+        MAGIC, FORMAT_VERSION, base_fingerprint, *dims, adapter.rank, adapter.alpha
+    )
+    payload = header + adapter.flat().astype("<f4").tobytes()
     checksum = struct.pack("<Q", _checksum64(payload))
     Path(path).write_bytes(payload + checksum)
     return len(payload) + len(checksum), checksum.hex()
@@ -72,69 +88,45 @@ def load_adapter(
     checksum: str | None = None,
     byte_size: int | None = None,
 ) -> lm.LoraAdapter:
-    """Read an adapter and verify its checksum; if given, also verify the
-    base fingerprint and that the file matches its manifest record: its
-    checksum equals `checksum` (hex) and its length equals `byte_size`."""
+    """Read an adapter and verify its checksum and that its length matches
+    its header's shapes; if given, also verify the base fingerprint and that
+    the file matches its manifest record: its checksum equals `checksum`
+    (hex) and its length equals `byte_size`."""
     blob = Path(path).read_bytes()
     if byte_size is not None and len(blob) != byte_size:
         raise ValueError(
             f"adapter {path} is {len(blob)} bytes, its manifest byte_size is {byte_size}"
         )
-    if len(blob) < len(MAGIC) + 2 + 32 + 4 + 8:
+    if len(blob) < HEADER.size + 8:
         raise ValueError(f"corrupt adapter: {path} (truncated)")
-    payload, (stored,) = blob[:-8], struct.unpack("<Q", blob[-8:])
-    if _checksum64(payload) != stored:
+    if _checksum64(blob[:-8]) != int.from_bytes(blob[-8:], "little"):
         raise ValueError(f"corrupt adapter: {path} (checksum mismatch)")
     if checksum is not None and blob[-8:].hex() != checksum:
         raise ValueError(f"adapter {path} does not match its manifest checksum {checksum}")
-    off = 0
-    if payload[:4] != MAGIC:
+    magic, version, fingerprint, *dims, rank, alpha = HEADER.unpack_from(blob)
+    if magic != MAGIC:
         raise ValueError(f"corrupt adapter: {path} (bad magic)")
-    off = 4
-    (version,) = struct.unpack_from("<H", payload, off)
-    off += 2
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported adapter format version {version}")
-    fingerprint = payload[off : off + 32]
-    off += 32
     if base_fingerprint is not None and fingerprint != base_fingerprint:
         raise ValueError(f"adapter {path} was trained against a different base model")
-    factors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    rank = None
-    alpha = None
-    rank_alpha = None  # the raw r and alpha fields of the first matrix
-    try:  # a malformed length field points past the payload
-        (count,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<I", payload, off)
-            off += 4
-            name = payload[off : off + name_len].decode("utf-8")
-            off += name_len
-            d_out, d_in, r = struct.unpack_from("<III", payload, off)
-            off += 12
-            (a,) = struct.unpack_from("<f", payload, off)
-            off += 4
-            # every matrix repeats the adapter's rank and alpha; compare bits,
-            # so that a NaN alpha is left to LoraAdapter's own check
-            if rank_alpha is not None and payload[off - 8 : off] != rank_alpha:
-                raise ValueError(f"matrix {name!r} has another rank or alpha")
-            rank_alpha, rank, alpha = payload[off - 8 : off], r, a
-            a_n = r * d_in
-            b_n = d_out * r
-            if off + 4 * (a_n + b_n) > len(payload):
-                raise ValueError(f"matrix {name!r} runs past the end")
-            a_mat = np.frombuffer(payload, dtype="<f4", count=a_n, offset=off).reshape(r, d_in)
-            off += 4 * a_n
-            b_mat = np.frombuffer(payload, dtype="<f4", count=b_n, offset=off).reshape(d_out, r)
-            off += 4 * b_n
-            factors[name] = (a_mat.copy(), b_mat.copy())
-    except (struct.error, ValueError) as exc:
-        raise ValueError(f"corrupt adapter: {path} ({exc})") from exc
-    if off != len(payload):
-        raise ValueError(f"corrupt adapter: {path} (trailing bytes)")
-    if rank is None:
-        raise ValueError(f"corrupt adapter: {path} (no matrices)")
+    shapes = list(zip(dims[0::2], dims[1::2]))  # (d_out, d_in) per target
+    count = rank * sum(d_out + d_in for d_out, d_in in shapes)
+    extra = len(blob) - (HEADER.size + 4 * count + 8)
+    if extra:
+        what = "trailing" if extra > 0 else "missing"
+        raise ValueError(
+            f"corrupt adapter: {path} ({abs(extra)} {what} bytes for its header's shapes)"
+        )
+    values = np.frombuffer(blob, dtype="<f4", count=count, offset=HEADER.size).astype(np.float32)
+    factors = {}
+    off = 0
+    for name, (d_out, d_in) in zip(lm.TARGET_NAMES, shapes):
+        a = values[off : off + rank * d_in].reshape(rank, d_in)
+        off += a.size
+        b = values[off : off + d_out * rank].reshape(d_out, rank)
+        off += b.size
+        factors[name] = (a, b)
     return lm.LoraAdapter(factors=factors, rank=rank, alpha=alpha)
 
 
@@ -177,18 +169,9 @@ class LatencyReport:
     bytes_loaded: int
 
 
-def _fmt_floats(values: np.ndarray) -> str:
-    # repr of the exact float64 value of each float32 entry round-trips
-    # bit-exactly through text
-    return " ".join(repr(float(v)) for v in values)
-
-
-def _parse_floats(text: str) -> np.ndarray:
-    # the inverse of _fmt_floats: parse as float64, then round to float32
-    return np.array(text.split(), dtype=np.float64).astype(np.float32)
-
-
 def save_manifest(catalog: ExpertCatalog) -> Path:
+    """Write the manifest and the centroids beside it; returns the manifest path."""
+    np.save(catalog.root / CENTROIDS_NAME, catalog.centroids, allow_pickle=False)
     lines = [
         f"catalog_version: {FORMAT_VERSION}",
         f"embedder_fingerprint: {catalog.embedder_fingerprint}",
@@ -196,7 +179,7 @@ def save_manifest(catalog: ExpertCatalog) -> Path:
         f"num_experts: {catalog.K}",
         "",
     ]
-    for rec, centroid in zip(catalog.records, catalog.centroids):
+    for rec in catalog.records:
         lines.extend(
             [
                 f"expert_id: {rec.expert_id}",
@@ -204,7 +187,6 @@ def save_manifest(catalog: ExpertCatalog) -> Path:
                 f"adapter_path: {rec.adapter_path}",
                 f"byte_size: {rec.byte_size}",
                 f"checksum: {rec.checksum}",
-                f"centroid: {_fmt_floats(centroid)}",
                 "",
             ]
         )
@@ -219,10 +201,10 @@ CENTROID_NORM_TOL = 1e-5
 
 
 def load_catalog(root: str | Path) -> ExpertCatalog:
-    """Read and check the manifest: every header and record key present,
-    every field parsed, and the centroids one finite (K, d) matrix of rows
-    within CENTROID_NORM_TOL of unit norm. Any fault raises ValueError
-    naming the manifest."""
+    """Read and check the manifest, every header and record key present and
+    every field parsed, and then centroids.npy, one finite float32 (K, d)
+    matrix of rows within CENTROID_NORM_TOL of unit norm. Any fault raises
+    ValueError naming the file."""
     root = Path(root)
     path = root / MANIFEST_NAME
     text = path.read_text(encoding="utf-8")
@@ -260,10 +242,9 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
         num_experts = int(header["num_experts"])
         embedder_fingerprint = header["embedder_fingerprint"]
         base_fingerprint = bytes.fromhex(header["base_fingerprint"])
-        records, rows = [], []
+        records = []
         for i, rec in enumerate(fields):
             where = f"record {i}"
-            rows.append(_parse_floats(rec["centroid"]))
             records.append(
                 ExpertRecord(
                     expert_id=int(rec["expert_id"]),
@@ -288,15 +269,15 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
     for rec in records:
         if not CHECKSUM_HEX.fullmatch(rec.checksum):
             raise bad(f"expert {rec.expert_id} checksum {rec.checksum!r} is not 16 hex digits")
-    if len({len(row) for row in rows}) != 1:
-        raise bad("centroids differ in length")
-    centroids = np.stack(rows)
+    centroids = read_array(root / CENTROIDS_NAME, np.float32, (num_experts, None))
     if not np.isfinite(centroids).all():
-        raise bad("centroid has a non-finite entry")
+        raise ValueError(f"catalog {root}: {CENTROIDS_NAME} has a non-finite entry")
     norms = np.linalg.norm(centroids.astype(np.float64), axis=1)
     off = np.flatnonzero(np.abs(norms - 1.0) > CENTROID_NORM_TOL)
     if off.size:
-        raise bad(f"centroid {off[0]} has norm {norms[off[0]]}, not 1")
+        raise ValueError(
+            f"catalog {root}: centroid {off[0]} in {CENTROIDS_NAME} has norm {norms[off[0]]}, not 1"
+        )
     try:
         return ExpertCatalog(
             root=root,

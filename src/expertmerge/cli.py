@@ -10,7 +10,7 @@ import numpy as np
 
 from . import catalog as store, clustering, embedding, evaluation, merging, model as lm
 from . import pipeline, routing
-from .config import RunConfig
+from .config import RunConfig, parse_yaml
 from .corpus import read_corpus
 from .evaluation import DEFAULT_METHODS, PropositionProbe
 
@@ -22,12 +22,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         key, _, value = item.partition("=")
         if not value:
             raise SystemExit(f"--set expects key=value, got {item!r}")
-        try:
-            import yaml
-
-            overrides[key] = yaml.safe_load(value)
-        except Exception as exc:  # pragma: no cover - malformed override value
-            raise SystemExit(f"bad override {item!r}: {exc}")
+        overrides[key] = parse_yaml(value, f"--set {item}")
     return cfg.with_overrides(overrides) if overrides else cfg
 
 

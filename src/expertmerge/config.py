@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -20,6 +21,31 @@ from .corpus import CorpusConfig
 from .embedding import EmbedderConfig
 from .model import TrainConfig
 from .routing import RoutingConfig
+
+
+class _Loader(yaml.SafeLoader):
+    """The safe loader, reading a float written without a dot (1e-3, -3e2)
+    as a float, as YAML 1.2 does, not as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"), list("-+0123456789")
+)
+
+
+def parse_yaml(text: str, source: str) -> Any:
+    """text as YAML; text that does not parse raises one-line ValueError naming source."""
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except yaml.YAMLError as exc:
+        # one line: the problem and where, without the echoed source text
+        mark = getattr(exc, "problem_mark", None)
+        detail = (
+            f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+            if mark
+            else " ".join(str(exc).split())
+        )
+        raise ValueError(f"bad config: {source} is not valid YAML ({detail})") from exc
 
 
 @dataclass(frozen=True)
@@ -82,6 +108,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lora_alpha) and self.lora_alpha > 0):
             raise ValueError(f"lora_alpha must be positive and finite, got {self.lora_alpha}")
+        if not (math.isfinite(self.ttt_learning_rate) and self.ttt_learning_rate >= 0):
+            raise ValueError(
+                f"ttt_learning_rate must be >= 0 and finite, got {self.ttt_learning_rate}"
+            )
         if not 0.0 < self.base_pretrain_fraction <= 1.0:
             raise ValueError(
                 f"base_pretrain_fraction must be in (0, 1], got {self.base_pretrain_fraction}"
@@ -139,17 +169,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        try:
-            data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        except yaml.YAMLError as exc:
-            # one line: the problem and where, without the echoed source text
-            mark = getattr(exc, "problem_mark", None)
-            detail = (
-                f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
-                if mark
-                else " ".join(str(exc).split())
-            )
-            raise ValueError(f"bad config: {path} is not valid YAML ({detail})") from exc
+        data = parse_yaml(Path(path).read_text(encoding="utf-8"), str(path)) or {}
         if not isinstance(data, dict):
             raise ValueError(f"bad config: {path} holds a {type(data).__name__}, not a mapping")
         return cls.from_dict(data)

@@ -41,26 +41,18 @@ def merge_adapters(
     for k in support:
         if k not in adapters:
             raise KeyError(f"missing adapter for expert {k}")
-    names = set(adapters[support[0]].factors)
-    shapes = {
-        name: (
-            adapters[support[0]].factors[name][1].shape[0],
-            adapters[support[0]].factors[name][0].shape[1],
-        )
-        for name in names
-    }
-    deltas = {name: np.zeros(shapes[name], dtype=np.float64) for name in names}
+    first = adapters[support[0]].factors
+    shapes = {name: (b.shape[0], a.shape[1]) for name, (a, b) in first.items()}
+    deltas = {name: np.zeros(shape, dtype=np.float64) for name, shape in shapes.items()}
     for k in support:
         adapter = adapters[k]
-        if set(adapter.factors) != names:
-            raise ValueError(f"expert {k} targets a different matrix set")
         w = weights.entries[k]
-        for name in names:
+        for name, shape in shapes.items():
             delta = adapter.delta(name)
-            if delta.shape != shapes[name]:
+            if delta.shape != shape:
                 raise ValueError(
                     f"shape mismatch for matrix {name!r}: expert {k} has "
-                    f"{delta.shape}, expected {shapes[name]}"
+                    f"{delta.shape}, expected {shape}"
                 )
             deltas[name] += w * delta
     return MergedAdapter(deltas=deltas, provenance=weights)

@@ -19,7 +19,7 @@ import numpy as np
 BOS = "\x02"
 EOS = "\x03"
 
-# names of the matrices an adapter may target, in storage order
+# the matrices every adapter targets, in storage order
 TARGET_NAMES = ("block0", "block1", "out_proj")
 # the dense weights of one model, in the order BaseParams stores them
 DENSE_NAMES = ("embed_table",) + TARGET_NAMES
@@ -98,11 +98,6 @@ class BaseParams:
                 raise ValueError(f"non-finite entries in {name}")
             setattr(self, name, np.ascontiguousarray(arr, dtype=np.float32))
 
-    def target_shape(self, name: str) -> tuple[int, int]:
-        # convention: every target matrix W has shape (d_out, d_in) and
-        # applies as y = W @ x
-        return getattr(self, name).shape
-
     def fingerprint(self) -> bytes:
         """32-byte digest of architecture and weights."""
         digest = hashlib.sha256()
@@ -129,7 +124,9 @@ class BaseParams:
 
 @dataclass
 class LoraAdapter:
-    """Per-target low-rank factor pair; effective delta is (alpha/r) * B @ A."""
+    """One low-rank factor pair per target; effective delta is (alpha/r) * B @ A.
+    Every adapter targets the TARGET_NAMES, in that order; a target matrix W
+    has shape (d_out, d_in) and applies as y = W @ x."""
 
     factors: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (A (r, d_in), B (d_out, r))
     rank: int
@@ -140,6 +137,8 @@ class LoraAdapter:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not (np.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if tuple(self.factors) != TARGET_NAMES:
+            raise ValueError(f"adapter targets {tuple(self.factors)}, not {TARGET_NAMES}")
         fixed = {}
         for name, (a, b) in self.factors.items():
             if a.shape[0] != self.rank or b.shape[1] != self.rank:
@@ -150,7 +149,7 @@ class LoraAdapter:
             )
         # one check over all factors: loading runs it for every active expert
         flat = [x.ravel() for pair in fixed.values() for x in pair]
-        if flat and not np.isfinite(np.concatenate(flat)).all():
+        if not np.isfinite(np.concatenate(flat)).all():
             raise ValueError("non-finite entries in adapter factors")
         self.factors = fixed
 
@@ -164,12 +163,12 @@ class LoraAdapter:
         return self.scale * (b.astype(np.float64) @ a.astype(np.float64))
 
     def flat(self) -> np.ndarray:
-        """Float64 vector of the factors: A then B of each target, in factors order."""
+        """Float64 vector of the factors: A then B of each target, in TARGET_NAMES order."""
         return _ravel(x for pair in self.factors.values() for x in pair)
 
     def with_flat(self, theta: np.ndarray) -> "LoraAdapter":
-        """Float32 adapter with these targets, rank and alpha, and the factors
-        read from theta in the flat() layout."""
+        """Float32 adapter with this rank and alpha, and the factors read from
+        theta in the flat() layout."""
         like = [x for pair in self.factors.values() for x in pair]
         theta = np.asarray(theta)
         size = sum(x.size for x in like)
@@ -183,18 +182,12 @@ class LoraAdapter:
         )
 
     @staticmethod
-    def init(
-        base: BaseParams,
-        rank: int = 8,
-        alpha: float = 16.0,
-        seed: int = 0,
-        targets: tuple[str, ...] = TARGET_NAMES,
-    ) -> "LoraAdapter":
+    def init(base: BaseParams, rank: int = 8, alpha: float = 16.0, seed: int = 0) -> "LoraAdapter":
         # A seeded Gaussian (std 0.02), B zero: the delta starts at zero
         rng = np.random.default_rng(seed)
         factors = {}
-        for name in targets:
-            d_out, d_in = base.target_shape(name)
+        for name in TARGET_NAMES:
+            d_out, d_in = getattr(base, name).shape
             a = (rng.standard_normal((rank, d_in)) * 0.02).astype(np.float32)
             b = np.zeros((d_out, rank), dtype=np.float32)
             factors[name] = (a, b)
@@ -217,12 +210,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
+        for name in ("epochs", "batch_size", "max_seq_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 def _effective_weights(
@@ -413,12 +412,11 @@ def train_adapter(
     cfg: TrainConfig,
     rank: int = 8,
     alpha: float = 16.0,
-    targets: tuple[str, ...] = TARGET_NAMES,
 ) -> LoraAdapter:
     """Train a fresh adapter with AdamW over shuffled seeded minibatches."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    init = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed, targets=targets)
+    init = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
     keys = [_pair_keys(base.vocab, doc, cfg.max_seq_len) for doc in docs]
     return fit_adapter(base, init, _minibatches(keys, cfg), cfg)
 

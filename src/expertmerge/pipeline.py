@@ -25,7 +25,7 @@ from .evaluation import HoldoutSplit, split_holdout
 
 EMBEDDINGS_NAME = "embeddings.npy"
 CORPUS_DIGEST_NAME = "corpus.sha256"
-ASSIGNMENT_NAME = "assignment.txt"
+ASSIGNMENT_NAME = "assignment.npy"
 
 
 @dataclass
@@ -107,17 +107,12 @@ def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
     )
     store.save_manifest(cat)
     cfg.save(work / "config.yaml")
-    _write_assignment(work / ASSIGNMENT_NAME, assignment)
+    np.save(work / ASSIGNMENT_NAME, assignment.labels, allow_pickle=False)
     np.save(work / EMBEDDINGS_NAME, embeddings, allow_pickle=False)
     (work / CORPUS_DIGEST_NAME).write_text(_corpus_digest(docs) + "\n", encoding="utf-8")
     return BuildResult(
         cfg=cfg, catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
     )
-
-
-def _write_assignment(path: Path, assignment: ClusterAssignment) -> None:
-    lines = [f"{i} {int(label)}" for i, label in enumerate(assignment.labels)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _corpus_digest(docs: list[str]) -> str:
@@ -141,18 +136,7 @@ def _load_embeddings(catalog_dir: Path, docs: list[str], dim: int) -> np.ndarray
         ) from exc
     if stored != _corpus_digest(docs):
         raise ValueError(f"catalog {catalog_dir} was built from other documents")
-    try:
-        embeddings = np.load(catalog_dir / EMBEDDINGS_NAME, allow_pickle=False)
-    except (OSError, EOFError, ValueError) as exc:
-        raise ValueError(
-            f"catalog {catalog_dir}: cannot read {EMBEDDINGS_NAME} ({exc})"
-        ) from exc
-    if embeddings.dtype != np.float32 or embeddings.shape != (len(docs), dim):
-        raise ValueError(
-            f"catalog {catalog_dir}: {EMBEDDINGS_NAME} is {embeddings.dtype} "
-            f"{embeddings.shape}, expected float32 {(len(docs), dim)}"
-        )
-    return embeddings
+    return store.read_array(catalog_dir / EMBEDDINGS_NAME, np.float32, (len(docs), dim))
 
 
 def open_catalog(
@@ -160,12 +144,18 @@ def open_catalog(
 ) -> tuple[RunConfig, store.ExpertCatalog, lm.BaseParams]:
     """The config, manifest and base model of a built catalog, with the
     config's embedder and the base checked against the fingerprints the
-    manifest records."""
+    manifest records, and the centroids' width against the embedder's dim."""
     catalog_dir = Path(catalog_dir)
     cfg = RunConfig.load(catalog_dir / "config.yaml")
     cat = store.load_catalog(catalog_dir)
     if cfg.embedder.fingerprint() != cat.embedder_fingerprint:
         raise ValueError(f"catalog {catalog_dir}: embedder fingerprint mismatch")
+    width = cat.centroids.shape[1]
+    if width != cfg.embedder.dim:
+        raise ValueError(
+            f"catalog {catalog_dir}: {store.CENTROIDS_NAME} has width {width}, "
+            f"the embedder's dim is {cfg.embedder.dim}"
+        )
     base = store.load_base(catalog_dir)
     if base.fingerprint() != cat.base_fingerprint:
         raise ValueError(f"catalog {catalog_dir}: base fingerprint mismatch")
@@ -178,17 +168,13 @@ def load_built(docs: list[str], catalog_dir: str | Path) -> BuildResult:
     catalog_dir = Path(catalog_dir)
     cfg, cat, base = open_catalog(catalog_dir)
     embeddings = _load_embeddings(catalog_dir, docs, cfg.embedder.dim)
-    path = catalog_dir / ASSIGNMENT_NAME
+    labels = store.read_array(catalog_dir / ASSIGNMENT_NAME, np.int64, (len(docs),))
     try:
-        labels = []
-        for i, line in enumerate(path.read_text().splitlines()):
-            index, label = line.split()
-            if int(index) != i:
-                raise ValueError(f"line {i + 1} is for document {index}, not {i}")
-            labels.append(int(label))
-        assignment = ClusterAssignment(labels=np.array(labels, dtype=np.int64), K=cat.K)
+        assignment = ClusterAssignment(labels=labels, K=cat.K)
     except ValueError as exc:
-        raise ValueError(f"catalog {catalog_dir}: cannot parse {ASSIGNMENT_NAME} ({exc})") from exc
+        raise ValueError(
+            f"catalog {catalog_dir}: {ASSIGNMENT_NAME} holds bad labels ({exc})"
+        ) from exc
     split = split_holdout(len(docs), assignment, cfg.protocol)
     return BuildResult(
         cfg=cfg, catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split

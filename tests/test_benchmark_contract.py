@@ -3,6 +3,7 @@ the ones tracing.TRACED lists; a rename or deletion here must not go
 unnoticed until a traced run fails. perfbench/ is only read."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
@@ -14,6 +15,9 @@ import pytest
 import expertmerge
 from conftest import CallCounter
 from expertmerge import model as lm
+from expertmerge import pipeline
+from expertmerge.config import RunConfig
+from expertmerge.corpus import generate_corpus
 from expertmerge.evaluation import ttt_adapt
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -23,6 +27,22 @@ def test_traced_functions_exist(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     assert tracing.Bindings(tracing.Recorder(), expertmerge).problems == []
+
+
+def test_check_build_passes_on_a_build(monkeypatch, tmp_path):
+    # the benchmark's build check reads the catalog format; a reduced build
+    # (480 documents, 8 experts) must pass it with no failure
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    session = importlib.import_module("session")
+    corpus = dataclasses.replace(RunConfig().corpus, docs_per_domain=60)
+    cfg = RunConfig(n_clusters=8, corpus=corpus)
+    docs = generate_corpus(corpus)[0]
+    assert len(docs) == 480
+    pipeline.build_catalog(docs, cfg, tmp_path / "cat")
+    tally = session.Tally()
+    digest = session.check_build(tmp_path / "cat", cfg.n_clusters, tally)
+    assert tally.problems == [] and not tally.failed
+    assert len(digest) == 64
 
 
 def test_scored_tokens_annotation_matches_scoring(monkeypatch):

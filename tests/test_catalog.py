@@ -39,14 +39,25 @@ def test_roundtrip_bitwise(tmp_path, adapter, fingerprint):
 def test_byte_count_formula(tmp_path, adapter, fingerprint):
     path = tmp_path / "e.adapter"
     written, checksum = cat.save_adapter(adapter, path, fingerprint)
-    # independent size computation from the format description
-    expected = 4 + 2 + 32 + 4 + 8
-    for name, (a, b) in adapter.factors.items():
-        expected += 4 + len(name.encode()) + 12 + 4 + 4 * a.size + 4 * b.size
+    # independent size computation from the format description: magic,
+    # version, fingerprint, (d_out, d_in) per target, rank, alpha, the
+    # factors and the checksum
+    expected = 4 + 2 + 32 + 8 * len(lm.TARGET_NAMES) + 4 + 4 + 8
+    for a, b in adapter.factors.values():
+        expected += 4 * a.size + 4 * b.size
     assert written == expected
     assert path.stat().st_size == expected
     # the checksum a manifest record holds is the file's trailing u64
     assert checksum == path.read_bytes()[-8:].hex()
+
+
+def test_file_is_header_then_flat_factors(tmp_path, adapter, fingerprint):
+    path = tmp_path / "e.adapter"
+    cat.save_adapter(adapter, path, fingerprint)
+    blob = path.read_bytes()
+    assert blob[:4] == b"TTMM" and struct.unpack_from("<H", blob, 4) == (2,)
+    values = np.frombuffer(blob[cat.HEADER.size : -8], dtype="<f4")
+    assert np.array_equal(values, adapter.flat())
 
 
 def test_truncated_file_rejected(tmp_path, adapter, fingerprint):
@@ -100,67 +111,52 @@ def test_non_finite_adapter_rejected(tmp_path, adapter, fingerprint):
         cat.load_adapter(path, fingerprint)
 
 
-def test_matrix_headers_must_agree(tmp_path, adapter, fingerprint):
-    # every matrix header repeats rank and alpha; the first one says 999
+def test_length_must_match_header_shapes(tmp_path, adapter, fingerprint):
+    # the header says block0 has one more input column than the file holds
     path = tmp_path / "e.adapter"
     cat.save_adapter(adapter, path, fingerprint)
     payload = bytearray(path.read_bytes()[:-8])
-    first = sorted(adapter.factors)[0].encode()
-    alpha_at = len(cat.MAGIC) + 2 + 32 + 4 + 4 + len(first) + 12
-    assert struct.unpack_from("<f", payload, alpha_at) == (adapter.alpha,)
-    struct.pack_into("<f", payload, alpha_at, 999.0)
+    d_in_at = 4 + 2 + 32 + 4
+    (d_in,) = struct.unpack_from("<I", payload, d_in_at)
+    assert d_in == adapter.factors["block0"][0].shape[1]
+    struct.pack_into("<I", payload, d_in_at, d_in + 1)
     path.write_bytes(bytes(payload) + struct.pack("<Q", cat._checksum64(bytes(payload))))
-    with pytest.raises(ValueError, match="corrupt adapter.*another rank or alpha"):
+    missing = 4 * adapter.rank
+    with pytest.raises(ValueError, match=rf"corrupt adapter.*\({missing} missing bytes"):
         cat.load_adapter(path, fingerprint)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    values=st.lists(
-        st.floats(width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True)
-        | st.floats(min_value=-3e38, max_value=3e38),
-        max_size=64,
-    )
-)
-def test_parse_floats_matches_per_value_parse(values):
-    def bits(x):
-        assert x.dtype == np.float32
-        return x.view(np.uint32).tolist()
-
-    text = " ".join(repr(v) for v in values)
-    per_value = np.array([np.float32(float(v)) for v in text.split()], dtype=np.float32)
-    assert bits(cat._parse_floats(text)) == bits(per_value)
-    x32 = np.array(values, dtype=np.float64).astype(np.float32)
-    assert bits(cat._parse_floats(cat._fmt_floats(x32))) == bits(x32)
-
-
-def _matrix_record(name, dims, alpha, data, name_len):
-    length = len(name) if name_len is None else name_len
-    return struct.pack("<I", length) + name + struct.pack("<IIIf", *dims, alpha) + data
+def test_format_1_adapter_rejected(tmp_path, adapter, fingerprint):
+    # format 1: a matrix count, then per matrix its name, dims, rank and alpha
+    records = [struct.pack("<I", len(adapter.factors))]
+    for name, (a, b) in adapter.factors.items():
+        records.append(struct.pack("<I", len(name)) + name.encode())
+        records.append(struct.pack("<IIIf", b.shape[0], a.shape[1], adapter.rank, adapter.alpha))
+        records.append(a.astype("<f4").tobytes() + b.astype("<f4").tobytes())
+    payload = b"TTMM" + struct.pack("<H", 1) + fingerprint + b"".join(records)
+    path = tmp_path / "e.adapter"
+    path.write_bytes(payload + struct.pack("<Q", cat._checksum64(payload)))
+    with pytest.raises(ValueError, match="^unsupported adapter format version 1$"):
+        cat.load_adapter(path, fingerprint)
 
 
 _u32 = st.integers(0, 2**32 - 1)
 _dim = st.integers(0, 4) | _u32
-_matrix = st.builds(
-    _matrix_record,
-    st.binary(max_size=6),
-    st.tuples(_dim, _dim, _dim),
+_header_fields = st.builds(
+    lambda dims, rank, alpha: struct.pack(f"<{len(dims)}IIf", *dims, rank, alpha),
+    st.lists(_dim, min_size=2 * len(lm.TARGET_NAMES), max_size=2 * len(lm.TARGET_NAMES)),
+    st.integers(0, 3) | _u32,
     st.floats(width=32),
-    st.binary(max_size=96),
-    st.none() | _u32,
 )
 _body = st.binary(max_size=256) | st.builds(
-    lambda count, records, tail: struct.pack("<I", count) + b"".join(records) + tail,
-    st.integers(0, 3) | _u32,
-    st.lists(_matrix, max_size=3),
-    st.binary(max_size=8),
+    lambda fields, data: fields + data, _header_fields, st.binary(max_size=256)
 )
 
 
 @settings(max_examples=400, deadline=None)
 @given(body=_body)
 def test_malformed_body_raises_value_error(tmp_path_factory, body):
-    # valid magic, version and checksum around arbitrary matrix bytes
+    # valid magic, version and checksum around arbitrary shapes and factor bytes
     payload = cat.MAGIC + struct.pack("<H", cat.FORMAT_VERSION) + bytes(32) + body
     path = tmp_path_factory.getbasetemp() / "fuzz.adapter"
     path.write_bytes(payload + struct.pack("<Q", cat._checksum64(payload)))
@@ -209,16 +205,9 @@ def test_manifest_roundtrip(tmp_path, small_base):
         assert got.cluster_size == orig.cluster_size
         assert got.byte_size == orig.byte_size
         assert got.checksum == orig.checksum
-    # centroids round-trip bit-exactly through the text manifest
+    # centroids round-trip bit-exactly through centroids.npy
     assert loaded.centroids.dtype == np.float32
     assert np.array_equal(loaded.centroids, catalog.centroids)
-
-
-def _first_centroid(text: str, edit) -> str:
-    """`text` with the first centroid's values replaced by edit(values)."""
-    head, _, rest = text.partition("centroid: ")
-    line, _, tail = rest.partition("\n")
-    return head + "centroid: " + " ".join(edit(line.split())) + "\n" + tail
 
 
 def _drop_line(key: str):
@@ -229,50 +218,91 @@ def _set_field(key: str, value: str):
     return lambda text: re.sub(rf"^{key}: .*$", f"{key}: {value}", text, count=1, flags=re.M)
 
 
+def _manifest(edit):
+    """A catalog damage: edit(text) of the manifest; its error names the manifest."""
+
+    def damage(root):
+        path = root / cat.MANIFEST_NAME
+        path.write_text(edit(path.read_text()))
+
+    return cat.MANIFEST_NAME, damage
+
+
+def _centroids(edit):
+    """A catalog damage: edit(matrix) of centroids.npy; its error names that file."""
+
+    def damage(root):
+        path = root / cat.CENTROIDS_NAME
+        np.save(path, edit(np.load(path)), allow_pickle=False)
+
+    return cat.CENTROIDS_NAME, damage
+
+
+def _with(c, index, value):
+    c = c.copy()
+    c[index] = value
+    return c
+
+
+def _no_centroids(root):
+    (root / cat.CENTROIDS_NAME).unlink()
+
+
 BAD_MANIFESTS = {
-    "no num_experts": (_drop_line("num_experts"), "header has no num_experts"),
-    "no base_fingerprint": (_drop_line("base_fingerprint"), "header has no base_fingerprint"),
-    "no checksum": (_drop_line("checksum"), "record 0 has no checksum"),
-    "no centroid": (_drop_line("centroid"), "record 0 has no centroid"),
-    "nan centroid entry": (
-        lambda t: _first_centroid(t, lambda v: ["nan"] + v[1:]),
-        "non-finite",
+    "no num_experts": (_manifest(_drop_line("num_experts")), "header has no num_experts"),
+    "no base_fingerprint": (
+        _manifest(_drop_line("base_fingerprint")),
+        "header has no base_fingerprint",
     ),
-    "inf centroid entry": (
-        lambda t: _first_centroid(t, lambda v: v[:-1] + ["inf"]),
-        "non-finite",
-    ),
-    "short centroid": (lambda t: _first_centroid(t, lambda v: v[:-1]), "differ in length"),
-    "empty centroid": (lambda t: _first_centroid(t, lambda v: []), "differ in length"),
+    "no checksum": (_manifest(_drop_line("checksum")), "record 0 has no checksum"),
+    "no centroid": ((cat.CENTROIDS_NAME, _no_centroids), "cannot read centroids.npy"),
+    "nan centroid entry": (_centroids(lambda c: _with(c, (0, 0), np.nan)), "non-finite"),
+    "inf centroid entry": (_centroids(lambda c: _with(c, (0, -1), np.inf)), "non-finite"),
+    "short centroid": (_centroids(lambda c: c[:-1]), r"\(3, 16\), expected float32 \(4, None\)"),
+    "empty centroid": (_centroids(lambda c: c[:, :0]), "centroid 0 in centroids.npy has norm"),
     "centroid not unit norm": (
-        lambda t: _first_centroid(t, lambda v: [repr(1.001 * float(x)) for x in v]),
-        "centroid 0 has norm",
+        _centroids(lambda c: 1.001 * c),
+        "centroid 0 in centroids.npy has norm",
     ),
-    "centroid entry not a number": (
-        lambda t: _first_centroid(t, lambda v: ["0.1x"] + v[1:]),
-        "unparsable",
+    "centroid entry not a number": (_centroids(lambda c: c.astype(str)), "expected float32"),
+    "byte_size not an int": (_manifest(_set_field("byte_size", "12x")), "unparsable"),
+    "expert_id not an int": (_manifest(_set_field("expert_id", "one")), "unparsable"),
+    "num_experts not an int": (_manifest(_set_field("num_experts", "4.0")), "unparsable"),
+    "base_fingerprint not hex": (_manifest(_set_field("base_fingerprint", "zz")), "unparsable"),
+    "base_fingerprint short": (
+        _manifest(_set_field("base_fingerprint", "ab" * 31)),
+        "not 32 bytes",
     ),
-    "byte_size not an int": (_set_field("byte_size", "12x"), "unparsable"),
-    "expert_id not an int": (_set_field("expert_id", "one"), "unparsable"),
-    "num_experts not an int": (_set_field("num_experts", "4.0"), "unparsable"),
-    "base_fingerprint not hex": (_set_field("base_fingerprint", "zz"), "unparsable"),
-    "base_fingerprint short": (_set_field("base_fingerprint", "ab" * 31), "not 32 bytes"),
-    "checksum not hex": (_set_field("checksum", "x" * 16), "not 16 hex digits"),
-    "other catalog version": (_set_field("catalog_version", "2"), "unsupported catalog version"),
-    "count mismatch": (_set_field("num_experts", "5"), "num_experts is 5"),
-    "ids not dense": (_set_field("expert_id", "7"), "dense"),
+    "checksum not hex": (_manifest(_set_field("checksum", "x" * 16)), "not 16 hex digits"),
+    "other catalog version": (
+        _manifest(_set_field("catalog_version", "1")),
+        "unsupported catalog version 1$",
+    ),
+    "count mismatch": (_manifest(_set_field("num_experts", "5")), "num_experts is 5"),
+    "ids not dense": (_manifest(_set_field("expert_id", "7")), "dense"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
 def test_load_catalog_checks_manifest(tmp_path, small_base, case):
     catalog = build_catalog_dir(tmp_path, small_base, 4, ["abcd", "efgh"])
-    edit, message = BAD_MANIFESTS[case]
+    (name, damage), message = BAD_MANIFESTS[case]
+    before = {p.name: p.read_bytes() for p in catalog.root.iterdir() if p.is_file()}
+    damage(catalog.root)
+    assert {p.name: p.read_bytes() for p in catalog.root.iterdir() if p.is_file()} != before
+    with pytest.raises(ValueError, match=message) as info:
+        cat.load_catalog(catalog.root)
+    assert str(catalog.root) in str(info.value) and name in str(info.value)
+
+
+def test_format_1_catalog_rejected(tmp_path, small_base):
+    # a format-1 manifest holds each centroid as a text line, and no centroids.npy exists
+    catalog = build_catalog_dir(tmp_path, small_base, 2, ["abcd"])
     manifest = catalog.root / cat.MANIFEST_NAME
-    text = manifest.read_text()
-    manifest.write_text(edit(text))
-    assert manifest.read_text() != text
-    with pytest.raises(ValueError, match=rf"manifest .*manifest\.txt: .*{message}"):
+    text = _set_field("catalog_version", "1")(manifest.read_text())
+    manifest.write_text(re.sub(r"^(checksum: .*)$", r"\1\ncentroid: 1.0 0.0", text, flags=re.M))
+    (catalog.root / cat.CENTROIDS_NAME).unlink()
+    with pytest.raises(ValueError, match=r"manifest.txt: unsupported catalog version 1$"):
         cat.load_catalog(catalog.root)
 
 

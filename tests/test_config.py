@@ -204,3 +204,62 @@ def test_tau_checked_against_n_clusters():
     assert RunConfig(n_clusters=99).n_clusters == 99
     fixed = RunConfig(n_clusters=128, routing=RoutingConfig(fixed_n=3))
     assert fixed.routing.fixed_n == 3
+
+
+@pytest.mark.parametrize("value, loaded", [("1e-3", 0.001), ("-3e2", -300.0), ("2E+1", 20.0)])
+def test_yaml_reads_exponent_floats(value, loaded):
+    from expertmerge.config import parse_yaml
+
+    assert parse_yaml(value, "x") == loaded
+
+
+def test_file_takes_an_exponent_float(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("expert_train:\n  learning_rate: 1e-3\n")
+    assert RunConfig.load(path).expert_train.learning_rate == 0.001
+    path.write_text("expert_train:\n  learning_rate: '1e-3'\n")
+    message = "bad config: expert_train.learning_rate must be a number, got '1e-3'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig.load(path)
+
+
+def test_set_takes_an_exponent_float():
+    from expertmerge.cli import _load_config, build_parser
+
+    def parsed(value):
+        argv = ["probe", "corpus.txt", "--set", f"expert_train.learning_rate={value}"]
+        return _load_config(build_parser().parse_args(argv))
+
+    assert parsed("1e-3").expert_train.learning_rate == 0.001
+    with pytest.raises(ValueError, match="must be a number, got '1e-3'"):
+        parsed("'1e-3'")
+    with pytest.raises(ValueError, match=r"^bad config: --set expert_train.learning_rate=\[ "):
+        parsed("[")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("learning_rate: .nan", "learning_rate must be >= 0 and finite, got nan"),
+        ("learning_rate: .inf", "learning_rate must be >= 0 and finite, got inf"),
+        ("max_seq_len: 0", "max_seq_len must be >= 1, got 0"),
+        ("adam_beta1: 1.0", r"adam_beta1 must be in \[0, 1\), got 1.0"),
+        ("adam_beta1: -0.1", r"adam_beta1 must be in \[0, 1\), got -0.1"),
+        ("adam_beta2: 1.0", r"adam_beta2 must be in \[0, 1\), got 1.0"),
+        ("adam_eps: 0.0", "adam_eps must be > 0, got 0.0"),
+        ("weight_decay: -0.01", "weight_decay must be >= 0, got -0.01"),
+    ],
+)
+def test_train_config_ranges(tmp_path, text, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"expert_train:\n  {text}\n")
+    with pytest.raises(ValueError, match=message):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-1.0"])
+def test_ttt_learning_rate_checked_at_load(tmp_path, value):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"ttt_learning_rate: {value}\n")
+    with pytest.raises(ValueError, match="ttt_learning_rate must be >= 0 and finite"):
+        RunConfig.load(path)

@@ -41,24 +41,22 @@ def test_merged_delta_is_convex_combination(small_base):
         assert (delta <= hi + 1e-6).all()
 
 
+def full_adapter(block0, vocab_size, hidden):
+    """Rank-1 adapter with these block0 factors and a zero B on the other targets."""
+    zero = {
+        "block1": (np.ones((1, hidden)), np.zeros((hidden, 1))),
+        "out_proj": (np.ones((1, hidden)), np.zeros((vocab_size, 1))),
+    }
+    return lm.LoraAdapter(factors={"block0": block0, **zero}, rank=1, alpha=1.0)
+
+
 def test_merge_rank_one_oracle():
     # two rank-1 adapters whose average delta is 0.5 * I_2, by hand
-    vocab = lm.Vocab.from_corpus(["ab"])
-    a1 = lm.LoraAdapter(
-        factors={"block0": (np.array([[1.0, 0.0]], dtype=np.float32),
-                            np.array([[1.0], [0.0]], dtype=np.float32))},
-        rank=1,
-        alpha=1.0,
-    )
-    a2 = lm.LoraAdapter(
-        factors={"block0": (np.array([[0.0, 1.0]], dtype=np.float32),
-                            np.array([[0.0], [1.0]], dtype=np.float32))},
-        rank=1,
-        alpha=1.0,
-    )
-    del vocab
+    a1 = full_adapter((np.array([[1.0, 0.0]]), np.array([[1.0], [0.0]])), 5, 2)
+    a2 = full_adapter((np.array([[0.0, 1.0]]), np.array([[0.0], [1.0]])), 5, 2)
     merged = merge_adapters(MergeWeights(entries={0: 0.5, 1: 0.5}), {0: a1, 1: a2})
     assert np.array_equal(merged.deltas["block0"], 0.5 * np.eye(2, dtype=np.float32))
+    assert not merged.deltas["block1"].any() and not merged.deltas["out_proj"].any()
 
 
 def test_merge_mixed_ranks(small_base):
@@ -79,10 +77,9 @@ def test_merge_missing_and_mismatched(small_base):
     with pytest.raises(KeyError, match="missing adapter"):
         merge_adapters(MergeWeights(entries={0: 0.5, 5: 0.5}), adapters)
     lopsided = dict(adapters)
-    lopsided[1] = lm.LoraAdapter(
-        factors={"block0": adapters[1].factors["block0"]}, rank=2, alpha=16.0
-    )
-    with pytest.raises(ValueError, match="different matrix set"):
+    narrow = lm.BaseParams.init_random(small_base.vocab, hidden=4, seed=0)
+    lopsided[1] = lm.LoraAdapter.init(narrow, rank=2)
+    with pytest.raises(ValueError, match=r"shape mismatch for matrix 'block0': expert 1"):
         merge_adapters(MergeWeights(entries={0: 0.5, 1: 0.5}), lopsided)
 
 

@@ -318,9 +318,8 @@ def assert_same_adapter(got, want):
 def test_train_adapter_matches_dict_adamw(seed):
     base, _, docs = random_model(seed)
     cfg = lm.TrainConfig(learning_rate=2e-2, batch_size=2, epochs=3, max_seq_len=12, seed=seed)
-    targets = lm.TARGET_NAMES[seed:]
-    got = lm.train_adapter(base, docs, cfg, rank=2, alpha=3.0, targets=targets)
-    init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed, targets=targets)
+    got = lm.train_adapter(base, docs, cfg, rank=2, alpha=3.0)
+    init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
     batches = lm._minibatches(doc_keys(base.vocab, docs, cfg.max_seq_len), cfg)
     assert_same_adapter(got, reference_fit_adapter(base, init, batches, cfg))
     assert any(b.any() for _, b in got.factors.values())
@@ -434,9 +433,9 @@ def test_adapter_linearity_in_b(tiny_base):
     base_logits = logits(None)
 
     def delta_for(scale):
-        adapter = lm.LoraAdapter(
-            factors={"out_proj": (a, (scale * b).astype(np.float32))}, rank=2, alpha=2.0
-        )
+        factors = {name: (np.ones((2, 4)), np.zeros((4, 2))) for name in ("block0", "block1")}
+        factors["out_proj"] = (a, (scale * b).astype(np.float32))
+        adapter = lm.LoraAdapter(factors=factors, rank=2, alpha=2.0)
         raw = logits(adapter) - base_logits
         return raw - raw.mean()  # log-softmax shift invariance
 
@@ -455,7 +454,13 @@ def test_adapter_validation(tiny_base):
         a = a.copy()
         a[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
-            lm.LoraAdapter(factors={"block1": (a, b)}, rank=2, alpha=16.0)
+            lm.LoraAdapter(factors={**adapter.factors, "block1": (a, b)}, rank=2, alpha=16.0)
+    # every adapter targets exactly the TARGET_NAMES, in that order
+    names = list(lm.TARGET_NAMES)
+    for targets in ([], names[:1], names[1:], names[::-1], names + ["embed_table"]):
+        factors = {name: adapter.factors.get(name, adapter.factors["block0"]) for name in targets}
+        with pytest.raises(ValueError, match=r"adapter targets .*, not \('block0'"):
+            lm.LoraAdapter(factors=factors, rank=2, alpha=16.0)
 
 
 def test_train_base_learns(tiny_vocab):

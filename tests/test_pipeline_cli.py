@@ -68,6 +68,8 @@ def test_build_outputs(built):
     assert (root / "manifest.txt").exists()
     assert (root / "base.npz").exists()
     assert (root / "config.yaml").exists()
+    assert (root / store.CENTROIDS_NAME).exists()
+    assert (root / pipeline.ASSIGNMENT_NAME).exists()
     for rec in result.catalog.records:
         assert (root / rec.adapter_path).stat().st_size == rec.byte_size
 
@@ -383,36 +385,41 @@ def test_cli_generate_rejects_other_base(built, tmp_path, capsys):
         assert f"catalog {root}: base fingerprint mismatch" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_line", ["", "1", "1 x"])
-def test_eval_rejects_malformed_assignment(built, tiny_corpus, tmp_path, capsys, bad_line):
+def _save_npz(path, array):
+    with open(path, "wb") as f:  # np.savez would add .npz to a path
+        np.savez(f, array=array)
+
+
+ARRAY_DAMAGES = {
+    "missing": lambda path, array: path.unlink(),
+    "pickled": lambda path, array: np.save(path, array.astype(object), allow_pickle=True),
+    "npz": _save_npz,
+    "wrong_dtype": lambda path, array: np.save(path, array.astype(np.float64)),
+    "wrong_shape": lambda path, array: np.save(
+        path, np.concatenate([array, np.zeros_like(array[..., :1])], axis=-1)
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(ARRAY_DAMAGES))
+@pytest.mark.parametrize(
+    "name", [store.CENTROIDS_NAME, pipeline.ASSIGNMENT_NAME, pipeline.EMBEDDINGS_NAME]
+)
+def test_cli_rejects_bad_catalog_array(built, tiny_corpus, tmp_path, capsys, name, damage):
     result, docs, _ = built
     _, corpus_path, _ = tiny_corpus
     root = tmp_path / "cat"
     shutil.copytree(result.catalog.root, root)
-    path = root / "assignment.txt"
-    lines = path.read_text().splitlines()
-    lines.insert(1, bad_line)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"cannot parse assignment\.txt"):
-        pipeline.load_built(docs, root)
-    assert main(["eval", str(root), str(corpus_path), str(tmp_path / "report")]) == 1
-    assert "cannot parse assignment.txt" in capsys.readouterr().err
-
-
-def test_eval_rejects_reordered_assignment(built, tiny_corpus, tmp_path, capsys):
-    result, docs, _ = built
-    _, corpus_path, _ = tiny_corpus
-    root = tmp_path / "cat"
-    shutil.copytree(result.catalog.root, root)
-    path = root / "assignment.txt"
-    lines = path.read_text().splitlines()
-    lines[0], lines[1] = lines[1], lines[0]
-    path.write_text("\n".join(lines) + "\n")
-    message = "cannot parse assignment.txt (line 1 is for document 1, not 0)"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        pipeline.load_built(docs, root)
-    assert main(["eval", str(root), str(corpus_path), str(tmp_path / "report")]) == 1
-    assert message in capsys.readouterr().err
+    path = root / name
+    ARRAY_DAMAGES[damage](path, np.load(path))
+    commands = [["eval", str(root), str(corpus_path), str(tmp_path / "report")]]
+    if name == store.CENTROIDS_NAME:
+        commands.append(["generate", str(root), docs[0][:6]])
+    for argv in commands:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: catalog {root}: ")
+        assert name in err
 
 
 def test_open_catalog_rejects_other_embedder(built, tiny_corpus, tmp_path, capsys):
