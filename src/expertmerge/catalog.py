@@ -304,9 +304,12 @@ def load_base(root: str | Path) -> lm.BaseParams:
     return lm.BaseParams(vocab=vocab, **{name: arrays[name] for name in lm.DENSE_NAMES})
 
 
-def load_active(catalog: ExpertCatalog, ids: Iterable[int]) -> dict[int, lm.LoraAdapter]:
+def load_active(
+    catalog: ExpertCatalog, ids: Iterable[int], base: lm.BaseParams | None = None
+) -> dict[int, lm.LoraAdapter]:
     """Load the adapters of the given expert ids, each checked against its
-    manifest record (checksum, byte size) and the catalog's base."""
+    manifest record (checksum, byte size) and the catalog's base fingerprint,
+    and, if base is given, its target shapes against the base's matrices."""
     adapters: dict[int, lm.LoraAdapter] = {}
     for k in ids:
         if not 0 <= k < catalog.K:
@@ -318,17 +321,23 @@ def load_active(catalog: ExpertCatalog, ids: Iterable[int]) -> dict[int, lm.Lora
         adapters[k] = load_adapter(
             path, catalog.base_fingerprint, record.checksum, record.byte_size
         )
+        if base is not None:
+            lm.check_fits(base, adapters[k], f"adapter {path} of expert {k}")
     return adapters
 
 
 def timed_route_merge(
-    catalog: ExpertCatalog, query: np.ndarray, cfg: RoutingConfig
+    catalog: ExpertCatalog,
+    query: np.ndarray,
+    cfg: RoutingConfig,
+    base: lm.BaseParams | None = None,
 ) -> tuple[MergedAdapter, LatencyReport]:
-    """route -> load_active -> merge_adapters with per-phase wall timing."""
+    """route -> load_active (checked against base if given) -> merge_adapters
+    with per-phase wall timing."""
     t0 = time.monotonic()
     weights = routing.route(query, catalog, cfg)
     t1 = time.monotonic()
-    adapters = load_active(catalog, weights.support)
+    adapters = load_active(catalog, weights.support, base)
     t2 = time.monotonic()
     merged = merge_adapters(weights, adapters)
     t3 = time.monotonic()

@@ -80,12 +80,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         text = lm.generate(base, None, args.prompt, args.n_tokens, args.seed)
     elif args.method == "merged":
         query = embedding.embed(cfg.embedder, args.prompt or "?")
-        merged, _ = store.timed_route_merge(cat, query, cfg.routing)
+        merged, _ = store.timed_route_merge(cat, query, cfg.routing, base)
         adapted = merging.apply_merged(base, merged)
         text = lm.generate(adapted, None, args.prompt, args.n_tokens, args.seed)
     elif args.method.startswith("expert-"):
         k = int(args.method.split("-", 1)[1])
-        adapter = store.load_active(cat, [k])[k]
+        adapter = store.load_active(cat, [k], base)[k]
         text = lm.generate(base, adapter, args.prompt, args.n_tokens, args.seed)
     else:
         raise SystemExit(f"unknown method {args.method!r}")

@@ -144,7 +144,7 @@ class ProbeResult:
 
 
 def _full_batch_gd(
-    base: lm.BaseParams,
+    dense: dict[str, np.ndarray],
     keys: list[np.ndarray],
     init: lm.LoraAdapter,
     eta: float,
@@ -153,8 +153,8 @@ def _full_batch_gd(
     """Plain gradient descent on the mean of the losses of each document's _pair_keys."""
     theta = init.flat()
     for _ in range(T):
-        work = init.with_flat(theta)
-        grad = sum(lm.nll_and_grad(base, work, [k])[1] / len(keys) for k in keys)
+        factors = lm._factors64(init.with_flat(theta))
+        grad = sum(lm.nll_and_grad(dense, factors, init.scale, [k])[1] / len(keys) for k in keys)
         theta = theta - eta * grad
     return init.with_flat(theta)
 
@@ -188,8 +188,9 @@ def proposition_probe(
     nn_keys = [lm._pair_keys(base.vocab, corpus_docs[i]) for i in nn_idx]
     other_keys = [lm._pair_keys(base.vocab, corpus_docs[i]) for i in other_idx]
     init = lm.LoraAdapter.init(base, rank=2, alpha=2.0, seed=seed)
-    theta_nn = _full_batch_gd(base, nn_keys, init, probe.eta, probe.T)
-    theta_other = _full_batch_gd(base, other_keys, init, probe.eta, probe.T)
+    dense, factors = lm._effective_weights(base, None), lm._factors64(init)
+    theta_nn = _full_batch_gd(dense, nn_keys, init, probe.eta, probe.T)
+    theta_other = _full_batch_gd(dense, other_keys, init, probe.eta, probe.T)
 
     p_nn = lm.forward(base, theta_nn, prompt)
     p_other = lm.forward(base, theta_other, prompt)
@@ -198,8 +199,8 @@ def proposition_probe(
     diam_nn = _pairwise_max_distance(corpus_embeddings[nn_idx])
     diam_other = _pairwise_max_distance(corpus_embeddings[other_idx])
 
-    grads_nn = [lm.nll_and_grad(base, init, [k])[1] for k in nn_keys]
-    grads_other = [lm.nll_and_grad(base, init, [k])[1] for k in other_keys]
+    grads_nn = [lm.nll_and_grad(dense, factors, init.scale, [k])[1] for k in nn_keys]
+    grads_other = [lm.nll_and_grad(dense, factors, init.scale, [k])[1] for k in other_keys]
     ratio = 0.0
     for i, gi in zip(nn_idx, grads_nn):
         for j, gj in zip(other_idx, grads_other):
@@ -323,7 +324,7 @@ def run_table1(
     train_docs = [docs[i] for i in split.train_idx]
     epl = cfg.protocol.eval_prefix_len
 
-    all_adapters = load_active(catalog, range(K))
+    all_adapters = load_active(catalog, range(K), base)
 
     perplexities: dict[str, float] = {}
 

@@ -224,11 +224,28 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
+def check_fits(base: BaseParams, adapter: LoraAdapter, label: str = "adapter") -> None:
+    """ValueError naming label unless each target of adapter has the shape
+    of the base's matrix."""
+    for name, (a, b) in adapter.factors.items():
+        want = getattr(base, name).shape
+        if (b.shape[0], a.shape[1]) != want:
+            raise ValueError(
+                f"{label}: {name} is {(b.shape[0], a.shape[1])}, the base's {name} is {want}"
+            )
+
+
+def _factors64(adapter: LoraAdapter) -> list[np.ndarray]:
+    """The adapter's factors in float64, in the flat() layout."""
+    return [x.astype(np.float64) for pair in adapter.factors.values() for x in pair]
+
+
 def _effective_weights(
     base: BaseParams, adapter: LoraAdapter | None
 ) -> dict[str, np.ndarray]:
     weights = {name: getattr(base, name).astype(np.float64) for name in DENSE_NAMES}
     if adapter is not None:
+        check_fits(base, adapter)
         for name in adapter.factors:
             weights[name] = weights[name] + adapter.delta(name)
     return weights
@@ -330,19 +347,19 @@ def _backward(
 
 
 def nll_and_grad(
-    base: BaseParams, adapter: LoraAdapter, keys: list[np.ndarray]
+    dense: dict[str, np.ndarray], factors: list[np.ndarray], scale: float, keys: list[np.ndarray]
 ) -> tuple[float, np.ndarray]:
     """Mean next-token NLL over a batch of documents' _pair_keys and its
-    gradient w.r.t. the factors, as one vector in the adapter.flat() layout."""
+    gradient w.r.t. the factors, as one vector in the flat() layout. dense is
+    _effective_weights(base, None), factors _factors64(adapter), scale its alpha/r."""
     if not keys:
         raise ValueError("empty batch")
-    weights = _effective_weights(base, adapter)
-    nll, d_w = _backward(weights, _pair_counts(base.vocab.size, keys))
+    targets = list(zip(TARGET_NAMES, factors[0::2], factors[1::2]))
+    weights = {**dense, **{name: dense[name] + scale * (b @ a) for name, a, b in targets}}
+    nll, d_w = _backward(weights, _pair_counts(len(dense["embed_table"]), keys))
     grads = []
-    for name, (a, b) in adapter.factors.items():
-        dw = d_w[name]
-        grads.append(adapter.scale * (b.astype(np.float64).T @ dw))
-        grads.append(adapter.scale * (dw @ a.astype(np.float64).T))
+    for name, a, b in targets:
+        grads += [scale * (b.T @ d_w[name]), scale * (d_w[name] @ a.T)]
     return nll, _ravel(grads)
 
 
@@ -397,10 +414,15 @@ def fit_adapter(
 ) -> LoraAdapter:
     """Train init's factors with one AdamW step per batch of _pair_keys. Each
     gradient is taken at the float32-rounded factors that the result stores."""
+    check_fits(base, init)
+    dense = _effective_weights(base, None)
     theta = init.flat()
+    rounded = np.empty_like(theta)  # theta rounded to float32, refilled each step
+    factors = _unravel(rounded, [x for pair in init.factors.values() for x in pair])
 
     def loss_and_grad(batch: list[np.ndarray]) -> tuple[float, np.ndarray]:
-        return nll_and_grad(base, init.with_flat(theta), batch)
+        rounded[:] = theta.astype(np.float32)
+        return nll_and_grad(dense, factors, init.scale, batch)
 
     _fit(theta, batches, loss_and_grad, cfg)
     return init.with_flat(theta)
@@ -463,11 +485,13 @@ def generate(
         raise ValueError("n_tokens must be >= 0")
     rng = np.random.default_rng(seed)
     table = _prob_table(base, adapter)
+    # rng.choice(V, p=row / row.sum())'s own draw, from CDFs built once per call
+    cdf = np.cumsum(table / table.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
     token = int(np.append(0, base.vocab.encode(prompt))[-1])  # BOS if empty
     out = prompt
     for _ in range(n_tokens):
-        row = table[token]
-        token = int(rng.choice(base.vocab.size, p=row / row.sum()))
+        token = int(cdf[token].searchsorted(rng.random(), side="right"))
         if token == 1:  # EOS
             break
         out += base.vocab.symbols[token]

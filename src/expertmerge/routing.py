@@ -19,7 +19,7 @@ from .model import _softmax
 
 @dataclass(frozen=True)
 class RoutingConfig:
-    beta: float = 0.05  # temperature; tuned by holdout grid search
+    beta: float = 0.05  # temperature; untuned: within 0.1% of the best of 0.02-0.2 on seed 0
     tau: float = 0.01  # sparsity threshold, must satisfy tau < 1/K
     fixed_n: int | None = None  # fixed number of active experts instead of tau
 

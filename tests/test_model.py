@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import string
 
 import numpy as np
 import pytest
@@ -10,6 +12,12 @@ from expertmerge import model as lm
 def doc_keys(vocab: lm.Vocab, docs: list[str], max_seq_len: int | None = None):
     """Each document's (input, target) pair keys, the batch nll_and_grad reads."""
     return [lm._pair_keys(vocab, doc, max_seq_len) for doc in docs]
+
+
+def adapter_nll_and_grad(base: lm.BaseParams, adapter: lm.LoraAdapter, keys):
+    """nll_and_grad at the adapter's factors over the base."""
+    dense = lm._effective_weights(base, None)
+    return lm.nll_and_grad(dense, lm._factors64(adapter), adapter.scale, keys)
 
 
 def zero_base(vocab: lm.Vocab, hidden: int = 4) -> lm.BaseParams:
@@ -138,7 +146,7 @@ def test_gradients_match_finite_differences():
             (rng.standard_normal(b.shape) * 0.1).astype(np.float32),
         )
     docs = ["abca", "cab"]
-    _, analytic = lm.nll_and_grad(base, adapter, doc_keys(vocab, docs))
+    _, analytic = adapter_nll_and_grad(base, adapter, doc_keys(vocab, docs))
     numeric = finite_difference_grads(base, adapter, docs)
     assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -146,22 +154,22 @@ def test_gradients_match_finite_differences():
 def test_nll_uniform_model(tiny_vocab):
     base = zero_base(tiny_vocab)
     adapter = lm.LoraAdapter.init(base, rank=1, seed=0)
-    nll, _ = lm.nll_and_grad(base, adapter, doc_keys(tiny_vocab, ["a"]))
+    nll, _ = adapter_nll_and_grad(base, adapter, doc_keys(tiny_vocab, ["a"]))
     assert nll == pytest.approx(np.log(tiny_vocab.size), rel=1e-12)
 
 
 def test_nll_batch_doubling_invariant(tiny_base):
     adapter = lm.LoraAdapter.init(tiny_base, rank=2, seed=4)
     keys = doc_keys(tiny_base.vocab, ["ab", "cba"])
-    nll_once, _ = lm.nll_and_grad(tiny_base, adapter, keys)
-    nll_twice, _ = lm.nll_and_grad(tiny_base, adapter, keys + keys)
+    nll_once, _ = adapter_nll_and_grad(tiny_base, adapter, keys)
+    nll_twice, _ = adapter_nll_and_grad(tiny_base, adapter, keys + keys)
     assert nll_twice == pytest.approx(nll_once, rel=1e-12)
 
 
 def test_nll_empty_batch(tiny_base):
     adapter = lm.LoraAdapter.init(tiny_base, rank=1, seed=0)
     with pytest.raises(ValueError, match="empty batch"):
-        lm.nll_and_grad(tiny_base, adapter, [])
+        adapter_nll_and_grad(tiny_base, adapter, [])
 
 
 def test_train_lr_zero_keeps_zero_delta(tiny_base):
@@ -201,6 +209,22 @@ def test_training_encodes_each_document_once(tiny_base, monkeypatch, train):
     else:
         lm.train_base(tiny_base.vocab, docs, cfg, hidden=4)
     assert counter.calls == len(docs)
+
+
+@pytest.mark.parametrize("n_docs", [1, 6])
+def test_training_builds_no_adapter_per_step(tiny_base, monkeypatch, n_docs):
+    # the factors of each step are views of the rounded theta: a fit builds
+    # its initial adapter and its result, however many steps it takes
+    from expertmerge.evaluation import ttt_adapt
+
+    docs = ["abc", "cab", "bca", "aabb", "c", "ba"][:n_docs]
+    counter = CallCounter(monkeypatch, lm.LoraAdapter, "__post_init__")
+    lm.train_adapter(tiny_base, docs, lm.TrainConfig(batch_size=1, epochs=2), rank=2)
+    assert counter.calls == 2
+    counter.calls = 0
+    embs = np.random.default_rng(n_docs).standard_normal((n_docs, 4)).astype(np.float32)
+    ttt_adapt(tiny_base, embs[0], embs, docs, n_docs, lm.TrainConfig(batch_size=1), 2, 4.0)
+    assert counter.calls == 2
 
 
 def test_train_diverged_reported(tiny_base, monkeypatch):
@@ -314,10 +338,18 @@ def assert_same_adapter(got, want):
         assert np.array_equal(gb, wb)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_train_adapter_matches_dict_adamw(seed):
+@pytest.mark.parametrize(
+    "seed, changes",
+    [pytest.param(seed, {}, id=str(seed)) for seed in range(3)]
+    + [
+        pytest.param(3, {"weight_decay": 0.0}, id="no_decay"),
+        pytest.param(4, {"epochs": 1, "batch_size": 1}, id="one_epoch_batch_1"),
+    ],
+)
+def test_train_adapter_matches_dict_adamw(seed, changes):
     base, _, docs = random_model(seed)
     cfg = lm.TrainConfig(learning_rate=2e-2, batch_size=2, epochs=3, max_seq_len=12, seed=seed)
+    cfg = dataclasses.replace(cfg, **changes)
     got = lm.train_adapter(base, docs, cfg, rank=2, alpha=3.0)
     init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
     batches = lm._minibatches(doc_keys(base.vocab, docs, cfg.max_seq_len), cfg)
@@ -559,7 +591,7 @@ def test_perplexity_matches_per_token_reference(seed, eval_prefix_len):
 def test_nll_and_grad_match_per_token_reference(seed):
     base, adapter, docs = random_model(seed)
     max_seq_len = 12  # truncation applies to longer documents
-    nll, grads = lm.nll_and_grad(base, adapter, doc_keys(base.vocab, docs, max_seq_len))
+    nll, grads = adapter_nll_and_grad(base, adapter, doc_keys(base.vocab, docs, max_seq_len))
     ref_nll, ref_dense = reference_dense_grads(base, adapter, docs, max_seq_len)
     # scoring reads whole documents, so it gets them cut as training cuts them
     cut = [doc[:max_seq_len] for doc in docs]
@@ -627,5 +659,58 @@ def test_generate_matches_per_token_reference(seed):
     base, adapter, docs = random_model(seed)
     for model_adapter in (None, adapter):
         for i, prompt in enumerate(["", docs[0][:3], docs[-1]]):
-            expected = reference_generate(base, model_adapter, prompt, 40, seed=10 * seed + i)
-            assert lm.generate(base, model_adapter, prompt, 40, seed=10 * seed + i) == expected
+            for n_tokens in (0, 1, 40, 200):
+                expected = reference_generate(base, model_adapter, prompt, n_tokens, 10 * seed + i)
+                got = lm.generate(base, model_adapter, prompt, n_tokens, seed=10 * seed + i)
+                assert got == expected
+
+
+def test_generate_matches_reference_on_peaked_rows():
+    # a one-hot hidden state per token, so out_proj's column t is row t's logits:
+    # 'a' is followed by 'b' up to ~1e-13, 'b' draws from a spread row, and
+    # EOS is the likeliest successor of 'c'
+    vocab = lm.Vocab.from_corpus(["abcd"])
+    v = vocab.size
+    a, b, c = (vocab.symbols.index(ch) for ch in "abc")
+    out = np.random.default_rng(0).standard_normal((v, v))
+    out[:, a] = 0.0
+    out[b, a] = 30.0
+    out[:, c] = 0.0
+    out[1, c] = 2.0
+    eye = np.eye(v, dtype=np.float32)
+    base = lm.BaseParams(
+        vocab=vocab, embed_table=3 * eye, block0=3 * eye, block1=3 * eye, out_proj=out
+    )
+    assert 1 - 1e-12 < lm.forward(base, None, "a")[b] < 1
+    assert lm.forward(base, None, "c").argmax() == 1
+    stopped = 0
+    for seed in range(40):
+        for prompt in ("a", "b", "c", ""):
+            for n_tokens in (1, 200):
+                text = lm.generate(base, None, prompt, n_tokens, seed)
+                assert text == reference_generate(base, None, prompt, n_tokens, seed)
+                stopped += n_tokens == 200 and len(text) < len(prompt) + n_tokens
+    assert stopped > 0  # some runs of 200 tokens end early at EOS
+
+
+def test_generate_matches_reference_on_many_models():
+    # 200 seeded (prompt, seed) pairs over 20 random models of 28 symbols
+    vocab = lm.Vocab.from_corpus([string.ascii_lowercase])
+    pairs = 0
+    for m in range(20):
+        rng = np.random.default_rng(1000 + m)
+        scale = float(rng.uniform(0.3, 1.5))
+        base = lm.BaseParams.init_random(vocab, hidden=6, seed=m, scale=scale)
+        adapter = None
+        if m % 2:
+            adapter = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=m)
+            for name, (fa, fb) in adapter.factors.items():
+                fb = (rng.standard_normal(fb.shape) * 0.3).astype(np.float32)
+                adapter.factors[name] = (fa * 20, fb)
+        for _ in range(10):
+            prompt = "".join(rng.choice(list(string.ascii_lowercase), size=int(rng.integers(0, 8))))
+            seed = int(rng.integers(2**31))
+            expected = reference_generate(base, adapter, prompt, 50, seed)
+            assert lm.generate(base, adapter, prompt, 50, seed) == expected
+            pairs += 1
+    assert pairs == 200

@@ -385,6 +385,40 @@ def test_cli_generate_rejects_other_base(built, tmp_path, capsys):
         assert f"catalog {root}: base fingerprint mismatch" in capsys.readouterr().err
 
 
+def test_adapter_of_another_hidden_size_is_rejected_at_load(built, tiny_corpus, tmp_path, capsys):
+    # expert 0's file is replaced by an adapter of another hidden size that
+    # carries the catalog's base fingerprint, with its manifest record updated
+    result, docs, cfg = built
+    _, corpus_path, _ = tiny_corpus
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    catalog = store.load_catalog(root)
+    base = store.load_base(root)
+    other = lm.BaseParams.init_random(base.vocab, hidden=cfg.hidden + 3, seed=0)
+    path = catalog.adapter_file(0)
+    wrong = lm.LoraAdapter.init(other, rank=cfg.lora_rank, alpha=cfg.lora_alpha)
+    record = catalog.records[0]
+    record.byte_size, record.checksum = store.save_adapter(wrong, path, catalog.base_fingerprint)
+    store.save_manifest(catalog)
+    catalog = store.load_catalog(root)
+    store.load_active(catalog, [0])  # the file itself is sound
+    h, wrong_h = cfg.hidden, cfg.hidden + 3
+    message = (
+        f"adapter {path} of expert 0: block0 is ({wrong_h}, {wrong_h}), "
+        f"the base's block0 is ({h}, {h})"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        store.load_active(catalog, [0], base)
+    with pytest.raises(ValueError, match=re.escape("adapter: block0 is")):
+        lm.generate(base, store.load_active(catalog, [0])[0], docs[0][:6], 5, seed=0)
+    assert main(["generate", str(root), docs[0][:6], "--method", "expert-0"]) == 1
+    assert message in capsys.readouterr().err
+    assert main(["generate", str(root), docs[0][:6], "--method", "expert-1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", str(root), str(corpus_path), str(tmp_path / "report")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def _save_npz(path, array):
     with open(path, "wb") as f:  # np.savez would add .npz to a path
         np.savez(f, array=array)
