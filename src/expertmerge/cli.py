@@ -1,4 +1,4 @@
-"""Command-line surface: build, eval, bench, generate, probe, cluster-report."""
+"""Command-line surface: build, eval, bench, generate, cluster-report."""
 
 from __future__ import annotations
 
@@ -6,13 +6,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import catalog as store, clustering, embedding, evaluation, merging, model as lm
-from . import pipeline, routing
+from . import catalog as store, clustering, embedding, evaluation, merging, model as lm, pipeline
 from .config import RunConfig, parse_yaml
 from .corpus import read_corpus
-from .evaluation import DEFAULT_METHODS, PropositionProbe
+from .evaluation import DEFAULT_METHODS
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -93,35 +90,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_probe(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    docs = read_corpus(args.corpus)
-    embs = embedding.embed_corpus(cfg.embedder, docs)
-    vocab = lm.Vocab.from_corpus(docs)
-    base = lm.BaseParams.init_random(vocab, hidden=8, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    probe = PropositionProbe(eta=args.eta, T=args.steps, N=args.neighbors)
-    held = 0
-    for trial in range(args.trials):
-        prompt_idx = int(rng.integers(len(docs)))
-        prompt = docs[prompt_idx][:24]
-        query = embedding.embed(cfg.embedder, prompt)
-        sims = embs.astype(np.float64) @ query.astype(np.float64)
-        nearest = routing.top_n(sims, 1)
-        extra = rng.choice(len(docs), size=min(3, len(docs)), replace=False)
-        other = np.unique(np.concatenate((nearest, extra)))
-        result = evaluation.proposition_probe(
-            probe, base, prompt, docs, embs, other, cfg.embedder, seed=cfg.seed + trial
-        )
-        held += int(result.holds)
-        print(
-            f"trial {trial}: lhs={result.lhs:.3e} rhs={result.rhs:.3e} "
-            f"holds={result.holds}"
-        )
-    print(f"bound held on {held}/{args.trials} trials")
-    return 0 if held == args.trials else 1
-
-
 def cmd_cluster_report(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     docs = read_corpus(args.corpus)
@@ -190,15 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="merged", help="base | merged | expert-<id>")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("probe", help="numeric sweep of the approximation bound")
-    p.add_argument("corpus")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--eta", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=2)
-    p.add_argument("--neighbors", type=int, default=5)
-    common(p)
-    p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("cluster-report", help="elbow curve and cluster titles")
     p.add_argument("corpus")

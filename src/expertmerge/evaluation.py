@@ -2,8 +2,7 @@
 
 Covers the per-cluster holdout split, global fine-tuning, test-time
 training on nearest neighbors, the expert-by-cluster perplexity matrix,
-pass@N routing accuracy, the gradient-descent approximation bound probe,
-and the headline perplexity table across methods.
+pass@N routing accuracy, and the headline perplexity table across methods.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import embedding, merging, model as lm, routing
 from .catalog import ExpertCatalog, load_active
-from .clustering import MIN_CLUSTER_SIZE, ClusterAssignment, _pairwise_max_distance
+from .clustering import MIN_CLUSTER_SIZE, ClusterAssignment
 from .config import EvalProtocol, RunConfig
 from .routing import MergeWeights, RoutingConfig
 
@@ -111,133 +110,6 @@ def pass_at_n(
         ranks.append(int(np.flatnonzero(order == true_cluster)[0]))
     ranks_arr = np.array(ranks)
     return [(n, float((ranks_arr < n).mean())) for n in N_list]
-
-
-# multiplies both estimated Lipschitz constants of the approximation bound
-SAFETY_FACTOR = 2.0
-
-
-@dataclass(frozen=True)
-class PropositionProbe:
-    eta: float
-    T: int
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-
-
-@dataclass
-class ProbeResult:
-    lhs: float
-    rhs: float
-    holds: bool
-    L_hat: float
-    G_hat: float
-    diam_nn: float
-    diam_other: float
-
-
-def _full_batch_gd(
-    dense: dict[str, np.ndarray],
-    keys: list[np.ndarray],
-    init: lm.LoraAdapter,
-    eta: float,
-    T: int,
-) -> lm.LoraAdapter:
-    """Plain gradient descent on the mean of the losses of each document's _pair_keys."""
-    theta = init.flat()
-    for _ in range(T):
-        factors = lm._factors64(init.with_flat(theta))
-        grad = sum(lm.nll_and_grad(dense, factors, init.scale, [k])[1] / len(keys) for k in keys)
-        theta = theta - eta * grad
-    return init.with_flat(theta)
-
-
-def proposition_probe(
-    probe: PropositionProbe,
-    base: lm.BaseParams,
-    prompt: str,
-    corpus_docs: list[str],
-    corpus_embeddings: np.ndarray,
-    other_idx: np.ndarray,
-    embedder_cfg: embedding.EmbedderConfig,
-    seed: int = 0,
-) -> ProbeResult:
-    """Numeric check of the gradient-descent approximation bound.
-
-    Trains two adapters with T full-batch GD steps of size eta from a
-    shared initialization: one on the N nearest neighbors of the prompt,
-    one on the provided subset. Requires the subset to intersect the
-    neighbor set. The output-distribution distance must stay below
-    eta * T * L_hat * G_hat * (diam(nn) + diam(subset)) with empirically
-    estimated Lipschitz constants, each times SAFETY_FACTOR.
-    """
-    query = embedding.embed(embedder_cfg, prompt)
-    sims = corpus_embeddings.astype(np.float64) @ query.astype(np.float64)
-    nn_idx = routing.top_n(sims, probe.N)
-    other_idx = np.asarray(other_idx, dtype=np.int64)
-    if not np.intersect1d(nn_idx, other_idx).size:
-        raise ValueError("proposition precondition violated: sets do not intersect")
-
-    nn_keys = [lm._pair_keys(base.vocab, corpus_docs[i]) for i in nn_idx]
-    other_keys = [lm._pair_keys(base.vocab, corpus_docs[i]) for i in other_idx]
-    init = lm.LoraAdapter.init(base, rank=2, alpha=2.0, seed=seed)
-    dense, factors = lm._effective_weights(base, None), lm._factors64(init)
-    theta_nn = _full_batch_gd(dense, nn_keys, init, probe.eta, probe.T)
-    theta_other = _full_batch_gd(dense, other_keys, init, probe.eta, probe.T)
-
-    p_nn = lm.forward(base, theta_nn, prompt)
-    p_other = lm.forward(base, theta_other, prompt)
-    lhs = float(np.linalg.norm(p_nn.astype(np.float64) - p_other.astype(np.float64)))
-
-    diam_nn = _pairwise_max_distance(corpus_embeddings[nn_idx])
-    diam_other = _pairwise_max_distance(corpus_embeddings[other_idx])
-
-    grads_nn = [lm.nll_and_grad(dense, factors, init.scale, [k])[1] for k in nn_keys]
-    grads_other = [lm.nll_and_grad(dense, factors, init.scale, [k])[1] for k in other_keys]
-    ratio = 0.0
-    for i, gi in zip(nn_idx, grads_nn):
-        for j, gj in zip(other_idx, grads_other):
-            dist = float(
-                np.linalg.norm(
-                    corpus_embeddings[i].astype(np.float64)
-                    - corpus_embeddings[j].astype(np.float64)
-                )
-            )
-            if dist > 1e-12:
-                ratio = max(ratio, float(np.linalg.norm(gi - gj)) / dist)
-    g_hat = SAFETY_FACTOR * ratio
-
-    rng = np.random.default_rng(seed)
-    theta0 = theta_nn.flat()
-    ratio = 0.0
-    for _ in range(8):
-        direction = rng.standard_normal(theta0.size)
-        direction /= np.linalg.norm(direction)
-        eps = 1e-4
-        p1 = lm.forward(base, theta_nn.with_flat(theta0 + eps * direction), prompt)
-        ratio = max(
-            ratio,
-            float(np.linalg.norm(p1.astype(np.float64) - p_nn.astype(np.float64))) / eps,
-        )
-    l_hat = SAFETY_FACTOR * ratio
-
-    rhs = probe.eta * probe.T * l_hat * g_hat * (diam_nn + diam_other)
-    return ProbeResult(
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-        L_hat=l_hat,
-        G_hat=g_hat,
-        diam_nn=diam_nn,
-        diam_other=diam_other,
-    )
 
 
 def ensemble_perplexity(

@@ -235,11 +235,6 @@ def check_fits(base: BaseParams, adapter: LoraAdapter, label: str = "adapter") -
             )
 
 
-def _factors64(adapter: LoraAdapter) -> list[np.ndarray]:
-    """The adapter's factors in float64, in the flat() layout."""
-    return [x.astype(np.float64) for pair in adapter.factors.values() for x in pair]
-
-
 def _effective_weights(
     base: BaseParams, adapter: LoraAdapter | None
 ) -> dict[str, np.ndarray]:
@@ -321,9 +316,10 @@ def _nll(table: np.ndarray, counts: np.ndarray) -> float:
 
 
 def _backward(
-    weights: dict[str, np.ndarray], counts: np.ndarray
+    weights: dict[str, np.ndarray], counts: np.ndarray, embed: bool = False
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean NLL of the counted pairs and its gradient w.r.t. every dense weight.
+    """Mean NLL of the counted pairs and its gradient w.r.t. each target
+    weight, and w.r.t. the embedding table if embed (only train_base trains it).
 
     Runs on the distinct input tokens only: a token seen c times with
     target counts c_j contributes c * p - c_j to its logit gradient.
@@ -341,8 +337,9 @@ def _backward(
     grads["block1"] = da2.T @ cache["h1"]
     da1 = (da2 @ weights["block1"]) * (1.0 - cache["h1"] ** 2)
     grads["block0"] = da1.T @ cache["x"]
-    grads["embed_table"] = np.zeros_like(weights["embed_table"])
-    grads["embed_table"][rows] = da1 @ weights["block0"]
+    if embed:
+        grads["embed_table"] = np.zeros_like(weights["embed_table"])
+        grads["embed_table"][rows] = da1 @ weights["block0"]
     return nll, grads
 
 
@@ -351,7 +348,8 @@ def nll_and_grad(
 ) -> tuple[float, np.ndarray]:
     """Mean next-token NLL over a batch of documents' _pair_keys and its
     gradient w.r.t. the factors, as one vector in the flat() layout. dense is
-    _effective_weights(base, None), factors _factors64(adapter), scale its alpha/r."""
+    _effective_weights(base, None), factors the adapter's factors in float64 in
+    the flat() layout, scale its alpha/r."""
     if not keys:
         raise ValueError("empty batch")
     targets = list(zip(TARGET_NAMES, factors[0::2], factors[1::2]))
@@ -454,7 +452,7 @@ def train_base(
     weights = dict(zip(DENSE_NAMES, _unravel(theta, init)))  # views of theta
 
     def loss_and_grad(batch: list[np.ndarray]) -> tuple[float, np.ndarray]:
-        nll, grads = _backward(weights, _pair_counts(vocab.size, batch))
+        nll, grads = _backward(weights, _pair_counts(vocab.size, batch), embed=True)
         return nll, _ravel(grads[n] for n in DENSE_NAMES)
 
     keys = [_pair_keys(vocab, doc, cfg.max_seq_len) for doc in docs]

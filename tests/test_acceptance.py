@@ -5,6 +5,7 @@ them. The headline ordering tests build the full synthetic corpus and
 catalog once per session, which takes under a minute on a laptop.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,17 +14,12 @@ import pytest
 from conftest import CallCounter, random_unit_vectors
 from expertmerge import catalog as store
 from expertmerge import model as lm
-from expertmerge import pipeline
+from expertmerge import pipeline, routing
 from expertmerge.catalog import bench_sweep
 from expertmerge.config import RunConfig
 from expertmerge.corpus import generate_corpus
-from expertmerge.embedding import EmbedderConfig, embed_corpus
-from expertmerge.evaluation import (
-    PropositionProbe,
-    ensemble_perplexity,
-    proposition_probe,
-    run_table1,
-)
+from expertmerge.embedding import embed_corpus
+from expertmerge.evaluation import ensemble_perplexity, global_finetune, run_table1, ttt_adapt
 from expertmerge.merging import apply_merged, merge_adapters
 from expertmerge.routing import MergeWeights, rbf_weights, sparse_softmax
 
@@ -162,40 +158,81 @@ def test_criterion_06_gradient_check():
     verdict(6, err <= 1e-4, f"max relative gradient error {err:.2e}")
 
 
-def test_criterion_07_proposition_probe():
-    embedder = EmbedderConfig(dim=64, ngram_orders=(1, 2), hash_seed=3)
-    rng = np.random.default_rng(7)
-    docs, _, _ = generate_corpus(RunConfig().corpus)
-    docs = docs[::8][:120]  # small slice keeps 100 probes fast
-    embs = embed_corpus(embedder, docs)
-    vocab = lm.Vocab.from_corpus(docs)
-    base = lm.BaseParams.init_random(vocab, hidden=8, seed=5)
-    violations = []
-    for trial in range(100):
-        eta = float(rng.uniform(1e-4, 0.01))
-        T = int(rng.integers(1, 4))
-        if eta * T > 0.03:
-            T = 1
-        probe = PropositionProbe(eta=eta, T=T, N=3)
-        prompt = docs[int(rng.integers(len(docs)))][:20]
-        sims = embs.astype(np.float64) @ embed_corpus(embedder, [prompt])[0].astype(
-            np.float64
+# TTT's neighbour count and learning rate, as ROADMAP item 2 picked them on the
+# diagnostic holdout, never on test documents. The config's ttt_* defaults stay
+# as they are, because they fix the recorded ttt perplexity.
+TTT_NEIGHBORS = 50
+TTT_LEARNING_RATE = 5e-3
+
+
+def mean_kl_from_ttt(docs: list[str], built: pipeline.BuildResult) -> dict[str, float]:
+    """Mean over the Table-1 test prompts of KL(TTT || q) between next-token
+    tables, for q the TTMM model, global fine-tuning and one seeded random
+    expert. A prompt's KL is the mean of the row KLs, each row weighted by
+    how often the test document scores its input token."""
+    cfg, base, catalog, split = built.cfg, built.base, built.catalog, built.split
+    test = [split.test[k] for k in range(catalog.K)]
+    queries = embed_corpus(
+        cfg.embedder, [docs[i][: cfg.protocol.query_prefix_len] or docs[i] for i in test]
+    )
+    train_docs = [docs[i] for i in split.train_idx]
+    train_embs = built.embeddings[split.train_idx]
+    adapters = store.load_active(catalog, range(catalog.K), base)
+    finetune = global_finetune(base, train_docs, cfg.expert_train, cfg.lora_rank, cfg.lora_alpha)
+    random_expert = adapters[int(np.random.default_rng(0).integers(catalog.K))]
+    fixed = {
+        "finetune": lm._prob_table(base, finetune),
+        "random": lm._prob_table(base, random_expert),
+    }
+    ttt_cfg = dataclasses.replace(
+        cfg.expert_train, learning_rate=TTT_LEARNING_RATE, batch_size=1, epochs=1
+    )
+    kls: dict[str, list[float]] = {"ttmm": [], "finetune": [], "random": []}
+    for i, query in zip(test, queries):
+        rows = lm._scored_counts(base.vocab, [docs[i]], cfg.protocol.eval_prefix_len).sum(axis=1)
+        adapter = ttt_adapt(
+            base,
+            query,
+            train_embs,
+            train_docs,
+            TTT_NEIGHBORS,
+            ttt_cfg,
+            cfg.lora_rank,
+            cfg.lora_alpha,
         )
-        nn = np.lexsort((np.arange(len(sims)), -sims))[:3]
-        extra = rng.choice(len(docs), size=2, replace=False)
-        other = np.unique(np.concatenate(([nn[0]], extra)))
-        result = proposition_probe(
-            probe, base, prompt, docs, embs, other, embedder, seed=trial
-        )
-        if not result.holds:
-            violations.append((trial, prompt, eta, T, other.tolist(), result))
-    for trial, prompt, eta, T, other, result in violations:
-        print(
-            f"\nviolation: trial={trial} prompt={prompt!r} eta={eta} T={T} "
-            f"other={other} lhs={result.lhs:.3e} rhs={result.rhs:.3e} "
-            f"L={result.L_hat:.3e} G={result.G_hat:.3e}"
-        )
-    verdict(7, not violations, f"bound held on {100 - len(violations)}/100 instances")
+        p = lm._prob_table(base, adapter)
+        merged = merge_adapters(routing.route(query, catalog, cfg.routing), adapters)
+        tables = {"ttmm": lm._prob_table(apply_merged(base, merged), None), **fixed}
+        for name, q in tables.items():
+            kls[name].append(float((p * np.log(p / q)).sum(axis=1) @ rows / rows.sum()))
+    return {name: float(np.mean(values)) for name, values in kls.items()}
+
+
+def ttmm_approximates_ttt(kl: dict[str, float]) -> bool:
+    """TTMM lands at most half as far from TTT as global fine-tuning does,
+    and a random expert does not."""
+    return kl["ttmm"] <= 0.5 * kl["finetune"] < kl["random"]
+
+
+def test_criterion_07_ttmm_approximates_ttt(headline):
+    built, _, _ = headline
+    docs, _, _ = generate_corpus(built.cfg.corpus)
+    kl = mean_kl_from_ttt(docs, built)
+    verdict(
+        7,
+        ttmm_approximates_ttt(kl),
+        f"mean KL from TTT: ttmm={kl['ttmm']:.3f} finetune={kl['finetune']:.3f} "
+        f"random={kl['random']:.3f}",
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(8))
+def test_ttmm_approximates_ttt_across_corpus_seeds(seed, tmp_path):
+    cfg = RunConfig().with_overrides({"corpus.seed": seed})
+    docs, _, _ = generate_corpus(cfg.corpus)
+    kl = mean_kl_from_ttt(docs, pipeline.build_catalog(docs, cfg, tmp_path / "catalog"))
+    assert ttmm_approximates_ttt(kl), kl
 
 
 def test_criterion_08_forward_pass_accounting(small_base, monkeypatch):

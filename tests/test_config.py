@@ -227,7 +227,7 @@ def test_set_takes_an_exponent_float():
     from expertmerge.cli import _load_config, build_parser
 
     def parsed(value):
-        argv = ["probe", "corpus.txt", "--set", f"expert_train.learning_rate={value}"]
+        argv = ["cluster-report", "corpus.txt", "--set", f"expert_train.learning_rate={value}"]
         return _load_config(build_parser().parse_args(argv))
 
     assert parsed("1e-3").expert_train.learning_rate == 0.001

@@ -2,20 +2,22 @@ import numpy as np
 import pytest
 
 from expertmerge import model as lm
+from expertmerge import pipeline
+from expertmerge.catalog import load_active
 from expertmerge.clustering import ClusterAssignment
-from expertmerge.config import EvalProtocol
+from expertmerge.config import EvalProtocol, RunConfig
+from expertmerge.corpus import generate_corpus
 from expertmerge.embedding import EmbedderConfig, embed_corpus
 from expertmerge.evaluation import (
-    PropositionProbe,
     diagonal_rowmin_fraction,
     ensemble_perplexity,
     expert_cluster_matrix,
     global_finetune,
     pass_at_n,
-    proposition_probe,
     split_holdout,
     ttt_adapt,
 )
+from expertmerge.merging import apply_merged, merge_adapters
 from expertmerge.routing import MergeWeights
 
 
@@ -68,6 +70,23 @@ def test_global_finetune_lr_zero_is_base(small_base):
     adapter = global_finetune(small_base, ["abcd", "efgh"], cfg, rank=2, alpha=16.0)
     out = lm.forward(small_base, adapter, "ab")
     assert np.array_equal(out, lm.forward(small_base, None, "ab"))
+
+
+def test_one_cluster_expert_is_global_finetune(tmp_path):
+    # K=1: the one expert trains on global_finetune's documents, in its order, with its seed
+    cfg = RunConfig().with_overrides({"n_clusters": 1, "corpus.docs_per_domain": 60})
+    docs, _, _ = generate_corpus(cfg.corpus)
+    built = pipeline.build_catalog(docs, cfg, tmp_path / "catalog")
+    train_docs = [docs[i] for i in built.split.train_idx]
+    finetune = global_finetune(
+        built.base, train_docs, cfg.expert_train, cfg.lora_rank, cfg.lora_alpha
+    )
+    expert = load_active(built.catalog, [0], built.base)[0]
+    assert np.array_equal(expert.flat(), finetune.flat())
+    # apply_merged rounds W + delta to float32, so the tables differ by that rounding
+    merged = apply_merged(built.base, merge_adapters(MergeWeights(entries={0: 1.0}), {0: expert}))
+    gap = np.abs(lm._prob_table(merged, None) - lm._prob_table(built.base, finetune)).max()
+    assert gap <= 1e-7
 
 
 def corpus_embeddings(docs):
@@ -153,57 +172,6 @@ def test_pass_at_n_wrong_cluster_counted():
     assert pass_at_n(centroids, samples, [2]) == [(2, 1.0)]
     with pytest.raises(ValueError):
         pass_at_n(centroids, samples, [3])
-
-
-def probe_setup():
-    docs = ["abcdabcd", "abcdabce", "efghefgh", "ghefghef", "cdabcdab"]
-    cfg, embs = corpus_embeddings(docs)
-    vocab = lm.Vocab.from_corpus(["abcdefgh"])
-    base = lm.BaseParams.init_random(vocab, hidden=8, seed=9)
-    return docs, cfg, embs, base
-
-
-def test_probe_zero_eta_trivially_holds():
-    docs, cfg, embs, base = probe_setup()
-    probe = PropositionProbe(eta=0.0, T=1, N=3)
-    result = proposition_probe(probe, base, "abcd", docs, embs, np.array([0, 1]), cfg)
-    assert result.lhs == 0.0
-    assert result.holds
-
-
-def test_probe_identical_sets():
-    docs, cfg, embs, base = probe_setup()
-    probe = PropositionProbe(eta=1e-3, T=2, N=2)
-    sims = embs.astype(np.float64) @ embs[0].astype(np.float64)
-    nn = np.lexsort((np.arange(len(sims)), -sims))[:2]
-    result = proposition_probe(probe, base, docs[0], docs, embs, nn, cfg)
-    assert result.lhs <= 1e-12
-    assert result.holds
-
-
-def test_probe_bound_holds_small_step():
-    docs, cfg, embs, base = probe_setup()
-    probe = PropositionProbe(eta=5e-3, T=3, N=2)
-    result = proposition_probe(probe, base, docs[0], docs, embs, np.array([0, 2]), cfg)
-    assert result.rhs > 0
-    assert result.holds, f"lhs={result.lhs} rhs={result.rhs}"
-
-
-def test_probe_disjoint_sets_rejected():
-    docs, cfg, embs, base = probe_setup()
-    sims = embs.astype(np.float64) @ embs[0].astype(np.float64)
-    nn = set(np.lexsort((np.arange(len(sims)), -sims))[:2].tolist())
-    other = np.array(sorted(set(range(len(docs))) - nn))[:2]
-    probe = PropositionProbe(eta=1e-3, T=1, N=2)
-    with pytest.raises(ValueError, match="precondition violated"):
-        proposition_probe(probe, base, docs[0], docs, embs, other, cfg)
-
-
-def test_probe_validation():
-    with pytest.raises(ValueError):
-        PropositionProbe(eta=-1.0, T=1, N=1)
-    with pytest.raises(ValueError):
-        PropositionProbe(eta=0.1, T=0, N=1)
 
 
 def test_ensemble_perplexity_single_expert(small_base):

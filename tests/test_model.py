@@ -17,7 +17,8 @@ def doc_keys(vocab: lm.Vocab, docs: list[str], max_seq_len: int | None = None):
 def adapter_nll_and_grad(base: lm.BaseParams, adapter: lm.LoraAdapter, keys):
     """nll_and_grad at the adapter's factors over the base."""
     dense = lm._effective_weights(base, None)
-    return lm.nll_and_grad(dense, lm._factors64(adapter), adapter.scale, keys)
+    factors = [x.astype(np.float64) for pair in adapter.factors.values() for x in pair]
+    return lm.nll_and_grad(dense, factors, adapter.scale, keys)
 
 
 def zero_base(vocab: lm.Vocab, hidden: int = 4) -> lm.BaseParams:
@@ -385,7 +386,7 @@ def test_train_base_matches_dict_adamw(hidden):
     params = {n: getattr(init, n).astype(np.float64) for n in lm.DENSE_NAMES}
 
     def loss_and_grad(batch):
-        return lm._backward(params, lm._pair_counts(vocab.size, batch))
+        return lm._backward(params, lm._pair_counts(vocab.size, batch), embed=True)
 
     batches = lm._minibatches(doc_keys(vocab, docs, cfg.max_seq_len), cfg)
     reference_fit(params, batches, loss_and_grad, cfg)
@@ -610,10 +611,16 @@ def test_nll_and_grad_match_per_token_reference(seed):
     # the same backward trains the base, embedding included
     weights = lm._effective_weights(base, adapter)
     counts = lm._pair_counts(base.vocab.size, doc_keys(base.vocab, docs, max_seq_len))
-    dense_nll, dense = lm._backward(weights, counts)
+    dense_nll, dense = lm._backward(weights, counts, embed=True)
     assert dense_nll == pytest.approx(ref_nll, rel=1e-10)
     for name in lm.DENSE_NAMES:
         assert rel_err(dense[name], ref_dense[name]) <= 1e-10
+    # adapter training skips the embedding gradient and keeps the rest bit for bit
+    frozen_nll, frozen = lm._backward(weights, counts)
+    assert frozen_nll == dense_nll
+    assert sorted(frozen) == sorted(lm.TARGET_NAMES)
+    for name in frozen:
+        assert np.array_equal(frozen[name], dense[name])
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -494,35 +494,10 @@ def test_build_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
-def test_cli_probe(tiny_corpus, tmp_path, capsys):
-    _, corpus_path, cfg = tiny_corpus
-    cfg_path = tmp_path / "run.yaml"
-    cfg.save(cfg_path)
-    rc = main(
-        [
-            "probe",
-            str(corpus_path),
-            "--config",
-            str(cfg_path),
-            "--trials",
-            "2",
-            "--eta",
-            "0.005",
-            "--steps",
-            "1",
-            "--neighbors",
-            "3",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert "bound held on" in out
-    assert rc in (0, 1)
-
-
 @pytest.mark.parametrize("key", ["seed.x", "nope.x", "routing.gamma"])
 def test_cli_rejects_unknown_set_key(tiny_corpus, capsys, key):
     _, corpus_path, _ = tiny_corpus
-    assert main(["probe", str(corpus_path), "--trials", "1", "--set", f"{key}=1"]) == 1
+    assert main(["cluster-report", str(corpus_path), "--set", f"{key}=1"]) == 1
     assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
 
 
