@@ -6,8 +6,8 @@ Adapter binary format 2 (little-endian throughout):
     HEADER: magic "TTMM" | version u16 | base fingerprint (32 bytes)
             | d_out u32, d_in u32 of each model.TARGET_NAMES entry
             | rank u32 | alpha f32
-    | adapter.flat() as f32: A (r, d_in) then B (d_out, r) of each target,
-      row-major
+    | adapter.theta as f32: A (r, d_in) then B (d_out, r) of each target,
+      row-major (the theta layout)
     | checksum u64 (blake2b-64 of all preceding bytes)
 
 The manifest is a human-readable key/value text file; the centroids are
@@ -72,11 +72,11 @@ def save_adapter(
     checksum hex that its manifest record holds."""
     if len(base_fingerprint) != 32:
         raise ValueError("base fingerprint must be 32 bytes")
-    dims = [d for a, b in adapter.factors.values() for d in (b.shape[0], a.shape[1])]
+    dims = [d for shape in adapter.shapes for d in shape]
     header = HEADER.pack(
         MAGIC, FORMAT_VERSION, base_fingerprint, *dims, adapter.rank, adapter.alpha
     )
-    payload = header + adapter.flat().astype("<f4").tobytes()
+    payload = header + adapter.theta.astype("<f4").tobytes()
     checksum = struct.pack("<Q", _checksum64(payload))
     Path(path).write_bytes(payload + checksum)
     return len(payload) + len(checksum), checksum.hex()
@@ -118,16 +118,8 @@ def load_adapter(
         raise ValueError(
             f"corrupt adapter: {path} ({abs(extra)} {what} bytes for its header's shapes)"
         )
-    values = np.frombuffer(blob, dtype="<f4", count=count, offset=HEADER.size).astype(np.float32)
-    factors = {}
-    off = 0
-    for name, (d_out, d_in) in zip(lm.TARGET_NAMES, shapes):
-        a = values[off : off + rank * d_in].reshape(rank, d_in)
-        off += a.size
-        b = values[off : off + d_out * rank].reshape(d_out, rank)
-        off += b.size
-        factors[name] = (a, b)
-    return lm.LoraAdapter(factors=factors, rank=rank, alpha=alpha)
+    theta = np.frombuffer(blob, dtype="<f4", count=count, offset=HEADER.size)
+    return lm.LoraAdapter(theta, shapes, rank, alpha)
 
 
 @dataclass
@@ -151,6 +143,14 @@ class ExpertCatalog:
         ids = [r.expert_id for r in self.records]
         if ids != list(range(len(ids))):
             raise ValueError("expert ids must be dense in [0, K)")
+        for rec in self.records:
+            # a file directly in ADAPTER_DIR: no absolute path, other directory or ".."
+            folder, _, name = rec.adapter_path.partition("/")
+            if folder != ADAPTER_DIR or name in ("", ".", "..") or "/" in name:
+                raise ValueError(
+                    f"expert {rec.expert_id} adapter_path {rec.adapter_path!r} "
+                    f"is not {ADAPTER_DIR}/<name>"
+                )
 
     @property
     def K(self) -> int:

@@ -144,18 +144,10 @@ class RunConfig:
         kwargs: dict[str, Any] = {}
         try:
             for key, value in data.items():
-                if key == "sift":  # removed routing option; older catalogs' configs carry it
-                    continue
-                if key == "ttt_epochs":  # removed; older configs carry the one value used
-                    if value != 1:
-                        raise ValueError(f"ttt_epochs={value!r}: TTT makes exactly one pass")
-                    continue
                 if key in cls._NESTED:
                     if not isinstance(value, dict):
                         raise ValueError(f"bad config: {key} must be a mapping")
                     sub = dict(value)
-                    if key == "routing":
-                        sub.pop("weighting", None)  # removed with the sift option
                     _check_numbers(getattr(defaults, key), sub, f"{key}.")
                     if "ngram_orders" in sub:
                         sub["ngram_orders"] = tuple(sub["ngram_orders"])

@@ -23,10 +23,13 @@ class MergedAdapter:
     provenance: MergeWeights
 
     def __post_init__(self) -> None:
-        for name, delta in self.deltas.items():
-            if not np.isfinite(delta).all():
-                raise ValueError(f"non-finite entries in merged delta {name}")
-            self.deltas[name] = np.ascontiguousarray(delta, dtype=np.float32)
+        # a float64 delta past the float32 range casts to inf, which the check rejects
+        with np.errstate(over="ignore"):
+            for name, delta in self.deltas.items():
+                delta = np.ascontiguousarray(delta, dtype=np.float32)
+                if not np.isfinite(delta).all():
+                    raise ValueError(f"non-finite entries in merged delta {name}")
+                self.deltas[name] = delta
 
 
 def merge_adapters(
@@ -41,20 +44,17 @@ def merge_adapters(
     for k in support:
         if k not in adapters:
             raise KeyError(f"missing adapter for expert {k}")
-    first = adapters[support[0]].factors
-    shapes = {name: (b.shape[0], a.shape[1]) for name, (a, b) in first.items()}
+    shapes = dict(zip(lm.TARGET_NAMES, adapters[support[0]].shapes))
     deltas = {name: np.zeros(shape, dtype=np.float64) for name, shape in shapes.items()}
     for k in support:
         adapter = adapters[k]
         w = weights.entries[k]
-        for name, shape in shapes.items():
-            delta = adapter.delta(name)
-            if delta.shape != shape:
+        for (name, shape), got in zip(shapes.items(), adapter.shapes):
+            if got != shape:
                 raise ValueError(
-                    f"shape mismatch for matrix {name!r}: expert {k} has "
-                    f"{delta.shape}, expected {shape}"
+                    f"shape mismatch for matrix {name!r}: expert {k} has {got}, expected {shape}"
                 )
-            deltas[name] += w * delta
+            deltas[name] += w * adapter.delta(name)
     return MergedAdapter(deltas=deltas, provenance=weights)
 
 

@@ -11,8 +11,10 @@ reproducible and finite-difference checks are tight.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+import math
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,36 +124,43 @@ class BaseParams:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoraAdapter:
-    """One low-rank factor pair per target; effective delta is (alpha/r) * B @ A.
-    Every adapter targets the TARGET_NAMES, in that order; a target matrix W
-    has shape (d_out, d_in) and applies as y = W @ x."""
+    """Low-rank factors of every target in one float32 vector theta, the
+    theta layout: A (r, d_in) then B (d_out, r) of each TARGET_NAMES entry,
+    row-major. A target matrix W has shape (d_out, d_in) and applies as
+    y = W @ x; its delta is (alpha/r) * B @ A. theta is stored read-only and
+    factors (name -> (A, B)) are views of it."""
 
-    factors: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (A (r, d_in), B (d_out, r))
+    theta: np.ndarray
+    shapes: tuple[tuple[int, int], ...]  # (d_out, d_in) per target
     rank: int
     alpha: float
+    factors: Mapping[str, tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
+        r = self.rank
+        if r < 1:
+            raise ValueError(f"rank must be >= 1, got {r}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if tuple(self.factors) != TARGET_NAMES:
-            raise ValueError(f"adapter targets {tuple(self.factors)}, not {TARGET_NAMES}")
-        fixed = {}
-        for name, (a, b) in self.factors.items():
-            if a.shape[0] != self.rank or b.shape[1] != self.rank:
-                raise ValueError(f"{name}: factor shapes inconsistent with rank {self.rank}")
-            fixed[name] = (
-                np.ascontiguousarray(a, dtype=np.float32),
-                np.ascontiguousarray(b, dtype=np.float32),
-            )
-        # one check over all factors: loading runs it for every active expert
-        flat = [x.ravel() for pair in fixed.values() for x in pair]
-        if not np.isfinite(np.concatenate(flat)).all():
+        shapes = tuple(map(tuple, self.shapes))
+        if len(shapes) != len(TARGET_NAMES) or min(map(min, shapes)) < 1:
+            raise ValueError(f"shapes {shapes} are not one positive (d_out, d_in) per target")
+        theta = np.array(self.theta, dtype=np.float32)  # a copy no caller can write
+        size = r * sum(d_out + d_in for d_out, d_in in shapes)
+        if theta.shape != (size,):
+            raise ValueError(f"theta must have shape ({size},), got {theta.shape}")
+        if not np.isfinite(theta).all():
             raise ValueError("non-finite entries in adapter factors")
-        self.factors = fixed
+        theta.flags.writeable = False
+        factors, end = {}, 0
+        for name, (d_out, d_in) in zip(TARGET_NAMES, shapes):
+            start, mid, end = end, end + r * d_in, end + r * (d_in + d_out)
+            factors[name] = (theta[start:mid].reshape(r, d_in), theta[mid:end].reshape(d_out, r))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "factors", MappingProxyType(factors))
 
     @property
     def scale(self) -> float:
@@ -162,36 +171,15 @@ class LoraAdapter:
         a, b = self.factors[name]
         return self.scale * (b.astype(np.float64) @ a.astype(np.float64))
 
-    def flat(self) -> np.ndarray:
-        """Float64 vector of the factors: A then B of each target, in TARGET_NAMES order."""
-        return _ravel(x for pair in self.factors.values() for x in pair)
-
-    def with_flat(self, theta: np.ndarray) -> "LoraAdapter":
-        """Float32 adapter with this rank and alpha, and the factors read from
-        theta in the flat() layout."""
-        like = [x for pair in self.factors.values() for x in pair]
-        theta = np.asarray(theta)
-        size = sum(x.size for x in like)
-        if theta.shape != (size,):
-            raise ValueError(f"theta must have shape ({size},), got {theta.shape}")
-        parts = _unravel(theta.astype(np.float32), like)
-        return LoraAdapter(
-            factors=dict(zip(self.factors, zip(parts[0::2], parts[1::2]))),
-            rank=self.rank,
-            alpha=self.alpha,
-        )
-
     @staticmethod
     def init(base: BaseParams, rank: int = 8, alpha: float = 16.0, seed: int = 0) -> "LoraAdapter":
         # A seeded Gaussian (std 0.02), B zero: the delta starts at zero
         rng = np.random.default_rng(seed)
-        factors = {}
-        for name in TARGET_NAMES:
-            d_out, d_in = getattr(base, name).shape
-            a = (rng.standard_normal((rank, d_in)) * 0.02).astype(np.float32)
-            b = np.zeros((d_out, rank), dtype=np.float32)
-            factors[name] = (a, b)
-        return LoraAdapter(factors=factors, rank=rank, alpha=alpha)
+        shapes = [getattr(base, name).shape for name in TARGET_NAMES]
+        theta = []
+        for d_out, d_in in shapes:
+            theta += [rng.standard_normal(rank * d_in) * 0.02, np.zeros(d_out * rank)]
+        return LoraAdapter(np.concatenate(theta), shapes, rank, alpha)
 
 
 @dataclass(frozen=True)
@@ -227,12 +215,10 @@ class TrainConfig:
 def check_fits(base: BaseParams, adapter: LoraAdapter, label: str = "adapter") -> None:
     """ValueError naming label unless each target of adapter has the shape
     of the base's matrix."""
-    for name, (a, b) in adapter.factors.items():
+    for name, shape in zip(TARGET_NAMES, adapter.shapes):
         want = getattr(base, name).shape
-        if (b.shape[0], a.shape[1]) != want:
-            raise ValueError(
-                f"{label}: {name} is {(b.shape[0], a.shape[1])}, the base's {name} is {want}"
-            )
+        if shape != want:
+            raise ValueError(f"{label}: {name} is {shape}, the base's {name} is {want}")
 
 
 def _effective_weights(
@@ -241,7 +227,7 @@ def _effective_weights(
     weights = {name: getattr(base, name).astype(np.float64) for name in DENSE_NAMES}
     if adapter is not None:
         check_fits(base, adapter)
-        for name in adapter.factors:
+        for name in TARGET_NAMES:
             weights[name] = weights[name] + adapter.delta(name)
     return weights
 
@@ -347,9 +333,9 @@ def nll_and_grad(
     dense: dict[str, np.ndarray], factors: list[np.ndarray], scale: float, keys: list[np.ndarray]
 ) -> tuple[float, np.ndarray]:
     """Mean next-token NLL over a batch of documents' _pair_keys and its
-    gradient w.r.t. the factors, as one vector in the flat() layout. dense is
+    gradient w.r.t. the factors, as one vector in the theta layout. dense is
     _effective_weights(base, None), factors the adapter's factors in float64 in
-    the flat() layout, scale its alpha/r."""
+    the theta layout, scale its alpha/r."""
     if not keys:
         raise ValueError("empty batch")
     targets = list(zip(TARGET_NAMES, factors[0::2], factors[1::2]))
@@ -414,7 +400,7 @@ def fit_adapter(
     gradient is taken at the float32-rounded factors that the result stores."""
     check_fits(base, init)
     dense = _effective_weights(base, None)
-    theta = init.flat()
+    theta = init.theta.astype(np.float64)
     rounded = np.empty_like(theta)  # theta rounded to float32, refilled each step
     factors = _unravel(rounded, [x for pair in init.factors.values() for x in pair])
 
@@ -423,7 +409,7 @@ def fit_adapter(
         return nll_and_grad(dense, factors, init.scale, batch)
 
     _fit(theta, batches, loss_and_grad, cfg)
-    return init.with_flat(theta)
+    return LoraAdapter(theta, init.shapes, init.rank, init.alpha)
 
 
 def train_adapter(

@@ -147,11 +147,7 @@ def test_criterion_06_gradient_check():
     base = lm.BaseParams.init_random(vocab, hidden=4, seed=11)
     adapter = lm.LoraAdapter.init(base, rank=2, alpha=4.0, seed=12)
     rng = np.random.default_rng(13)
-    for name, (a, b) in adapter.factors.items():
-        adapter.factors[name] = (
-            (rng.standard_normal(a.shape) * 0.1).astype(np.float32),
-            (rng.standard_normal(b.shape) * 0.1).astype(np.float32),
-        )
+    adapter = dataclasses.replace(adapter, theta=rng.standard_normal(adapter.theta.size) * 0.1)
     docs = ["abca", "cab"]
     _, analytic = adapter_nll_and_grad(base, adapter, doc_keys(vocab, docs))
     err = max_relative_error(analytic, finite_difference_grads(base, adapter, docs))

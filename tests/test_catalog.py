@@ -1,4 +1,3 @@
-import copy
 import re
 import struct
 
@@ -28,12 +27,9 @@ def test_roundtrip_bitwise(tmp_path, adapter, fingerprint):
     path = tmp_path / "e.adapter"
     cat.save_adapter(adapter, path, fingerprint)
     loaded = cat.load_adapter(path, fingerprint)
-    assert loaded.rank == adapter.rank
+    assert (loaded.shapes, loaded.rank) == (adapter.shapes, adapter.rank)
     assert loaded.alpha == pytest.approx(adapter.alpha)
-    assert set(loaded.factors) == set(adapter.factors)
-    for name in adapter.factors:
-        assert np.array_equal(loaded.factors[name][0], adapter.factors[name][0])
-        assert np.array_equal(loaded.factors[name][1], adapter.factors[name][1])
+    assert np.array_equal(loaded.theta, adapter.theta)
 
 
 def test_byte_count_formula(tmp_path, adapter, fingerprint):
@@ -43,8 +39,8 @@ def test_byte_count_formula(tmp_path, adapter, fingerprint):
     # version, fingerprint, (d_out, d_in) per target, rank, alpha, the
     # factors and the checksum
     expected = 4 + 2 + 32 + 8 * len(lm.TARGET_NAMES) + 4 + 4 + 8
-    for a, b in adapter.factors.values():
-        expected += 4 * a.size + 4 * b.size
+    for d_out, d_in in adapter.shapes:
+        expected += 4 * adapter.rank * (d_in + d_out)
     assert written == expected
     assert path.stat().st_size == expected
     # the checksum a manifest record holds is the file's trailing u64
@@ -57,7 +53,7 @@ def test_file_is_header_then_flat_factors(tmp_path, adapter, fingerprint):
     blob = path.read_bytes()
     assert blob[:4] == b"TTMM" and struct.unpack_from("<H", blob, 4) == (2,)
     values = np.frombuffer(blob[cat.HEADER.size : -8], dtype="<f4")
-    assert np.array_equal(values, adapter.flat())
+    assert np.array_equal(values, adapter.theta)
 
 
 def test_truncated_file_rejected(tmp_path, adapter, fingerprint):
@@ -99,16 +95,18 @@ def test_trailing_bytes_rejected(tmp_path, adapter, fingerprint):
 def test_non_finite_adapter_rejected(tmp_path, adapter, fingerprint):
     # both pass the checksum: the writer stored them faithfully
     path = tmp_path / "e.adapter"
-    nan_alpha = copy.deepcopy(adapter)
-    nan_alpha.alpha = float("nan")
-    cat.save_adapter(nan_alpha, path, fingerprint)
-    with pytest.raises(ValueError, match="alpha must be positive and finite"):
-        cat.load_adapter(path, fingerprint)
-    inf_factor = copy.deepcopy(adapter)
-    inf_factor.factors["out_proj"][1][0, 0] = np.inf
-    cat.save_adapter(inf_factor, path, fingerprint)
-    with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
-        cat.load_adapter(path, fingerprint)
+    cat.save_adapter(adapter, path, fingerprint)
+    good = path.read_bytes()[:-8]
+    alpha_at = cat.HEADER.size - 4
+    for at, value, message in (
+        (alpha_at, np.nan, "alpha must be positive and finite"),
+        (len(good) - 4, np.inf, "non-finite entries in adapter factors"),  # last B entry
+    ):
+        payload = bytearray(good)
+        struct.pack_into("<f", payload, at, value)
+        path.write_bytes(bytes(payload) + struct.pack("<Q", cat._checksum64(bytes(payload))))
+        with pytest.raises(ValueError, match=message):
+            cat.load_adapter(path, fingerprint)
 
 
 def test_length_must_match_header_shapes(tmp_path, adapter, fingerprint):
@@ -118,7 +116,7 @@ def test_length_must_match_header_shapes(tmp_path, adapter, fingerprint):
     payload = bytearray(path.read_bytes()[:-8])
     d_in_at = 4 + 2 + 32 + 4
     (d_in,) = struct.unpack_from("<I", payload, d_in_at)
-    assert d_in == adapter.factors["block0"][0].shape[1]
+    assert d_in == adapter.shapes[0][1]
     struct.pack_into("<I", payload, d_in_at, d_in + 1)
     path.write_bytes(bytes(payload) + struct.pack("<Q", cat._checksum64(bytes(payload))))
     missing = 4 * adapter.rank
@@ -280,6 +278,15 @@ BAD_MANIFESTS = {
     ),
     "count mismatch": (_manifest(_set_field("num_experts", "5")), "num_experts is 5"),
     "ids not dense": (_manifest(_set_field("expert_id", "7")), "dense"),
+    # an adapter file outside the catalog's adapters/ directory
+    "adapter_path absolute": (
+        _manifest(_set_field("adapter_path", "/abs/outside.bin")),
+        r"expert 0 adapter_path '/abs/outside.bin' is not adapters/<name>",
+    ),
+    "adapter_path escapes": (
+        _manifest(_set_field("adapter_path", "../outside.bin")),
+        r"expert 0 adapter_path '\.\./outside.bin' is not adapters/<name>",
+    ),
 }
 
 

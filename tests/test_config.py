@@ -1,6 +1,5 @@
 import math
 import re
-from pathlib import Path
 
 import pytest
 
@@ -161,31 +160,17 @@ def test_empty_yaml_gives_defaults(tmp_path):
     assert RunConfig.load(path) == RunConfig()
 
 
-LEGACY_CONFIG = Path(__file__).parent / "data" / "config_with_sift.yaml"
-
-
-def test_legacy_config_keys_ignored():
-    # catalogs built before the sift option was removed keep loading
-    assert RunConfig.load(LEGACY_CONFIG) == RunConfig()
-
-
-def test_legacy_ttt_epochs_only_one(tmp_path):
-    # the removed ttt_epochs field loads at the one value builds wrote, 1
-    text = LEGACY_CONFIG.read_text()
-    assert "ttt_epochs: 1\n" in text
-    path = tmp_path / "epochs.yaml"
-    path.write_text(text.replace("ttt_epochs: 1\n", "ttt_epochs: 3\n"))
-    with pytest.raises(ValueError, match="ttt_epochs=3"):
-        RunConfig.load(path)
-    assert not hasattr(RunConfig(), "ttt_epochs")
-
-
 def test_unknown_config_key_rejected(tmp_path):
-    text = LEGACY_CONFIG.read_text()
+    text = RunConfig().to_yaml()
+    assert "  tau: 0.01\n" in text and "ttt_neighbors: 100\n" in text
     for bad in (
         text + "gamma: 1\n",
-        text.replace("  weighting: cross_attention\n", "  weightings: cross_attention\n"),
-        text.replace("sift:\n", "sifted:\n"),
+        text.replace("  tau: 0.01\n", "  taus: 0.01\n"),
+        text.replace("ttt_neighbors: 100\n", "ttt_neighbours: 100\n"),
+        # keys of removed options
+        text + "sift:\n  lam: 0.1\n  n_candidates: 10\n",
+        text + "ttt_epochs: 1\n",
+        text.replace("  tau: 0.01\n", "  tau: 0.01\n  weighting: cross_attention\n"),
     ):
         path = tmp_path / "bad.yaml"
         path.write_text(bad)

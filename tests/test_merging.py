@@ -43,11 +43,10 @@ def test_merged_delta_is_convex_combination(small_base):
 
 def full_adapter(block0, vocab_size, hidden):
     """Rank-1 adapter with these block0 factors and a zero B on the other targets."""
-    zero = {
-        "block1": (np.ones((1, hidden)), np.zeros((hidden, 1))),
-        "out_proj": (np.ones((1, hidden)), np.zeros((vocab_size, 1))),
-    }
-    return lm.LoraAdapter(factors={"block0": block0, **zero}, rank=1, alpha=1.0)
+    zero = [np.ones(hidden), np.zeros(hidden), np.ones(hidden), np.zeros(vocab_size)]
+    theta = np.concatenate([np.ravel(x) for x in (*block0, *zero)])
+    shapes = [(hidden, hidden), (hidden, hidden), (vocab_size, hidden)]
+    return lm.LoraAdapter(theta, shapes, rank=1, alpha=1.0)
 
 
 def test_merge_rank_one_oracle():
@@ -57,6 +56,13 @@ def test_merge_rank_one_oracle():
     merged = merge_adapters(MergeWeights(entries={0: 0.5, 1: 0.5}), {0: a1, 1: a2})
     assert np.array_equal(merged.deltas["block0"], 0.5 * np.eye(2, dtype=np.float32))
     assert not merged.deltas["block1"].any() and not merged.deltas["out_proj"].any()
+
+
+def test_merge_float32_overflow_raises():
+    # 1e20 * 1e20 is finite in float64 but not in float32, where the delta is stored
+    big = full_adapter((np.full((1, 2), 1e20), np.full((2, 1), 1e20)), 5, 2)
+    with pytest.raises(ValueError, match="non-finite entries in merged delta block0"):
+        merge_adapters(MergeWeights(entries={0: 1.0}), {0: big})
 
 
 def test_merge_mixed_ranks(small_base):

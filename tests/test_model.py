@@ -109,26 +109,23 @@ def test_forward_max_seq(tiny_base):
 
 
 def finite_difference_grads(base, adapter, docs, eps=1e-5):
-    """Central differences over every adapter coordinate (oracle), in the
-    adapter.flat() layout."""
-    grads = []
-    for pair in adapter.factors.values():
-        for mat in pair:
-            g = np.zeros(mat.shape, dtype=np.float64)
-            for idx in np.ndindex(mat.shape):
-                original = mat[idx]
-                # use the actually stored float32 perturbations so the
-                # difference quotient denominator is exact
-                mat[idx] = np.float32(original + eps)
-                hi_val = float(np.float64(mat[idx]))
-                hi = np.log(lm.perplexity(base, adapter, docs))
-                mat[idx] = np.float32(original - eps)
-                lo_val = float(np.float64(mat[idx]))
-                lo = np.log(lm.perplexity(base, adapter, docs))
-                mat[idx] = original
-                g[idx] = (hi - lo) / (hi_val - lo_val)
-            grads.append(g.ravel())
-    return np.concatenate(grads)
+    """Central differences over every coordinate of the adapter's theta (oracle)."""
+
+    def log_ppl(theta):
+        return np.log(lm.perplexity(base, dataclasses.replace(adapter, theta=theta), docs))
+
+    theta = adapter.theta.copy()
+    grads = np.zeros(theta.size)
+    for i, original in enumerate(adapter.theta):
+        # use the actually stored float32 perturbations so the
+        # difference quotient denominator is exact
+        theta[i] = original + eps
+        hi_val, hi = float(theta[i]), log_ppl(theta)
+        theta[i] = original - eps
+        lo_val, lo = float(theta[i]), log_ppl(theta)
+        theta[i] = original
+        grads[i] = (hi - lo) / (hi_val - lo_val)
+    return grads
 
 
 def max_relative_error(analytic, numeric):
@@ -141,11 +138,7 @@ def test_gradients_match_finite_differences():
     base = lm.BaseParams.init_random(vocab, hidden=4, seed=11)
     adapter = lm.LoraAdapter.init(base, rank=2, alpha=4.0, seed=12)
     rng = np.random.default_rng(13)
-    for name, (a, b) in adapter.factors.items():
-        adapter.factors[name] = (
-            (rng.standard_normal(a.shape) * 0.1).astype(np.float32),
-            (rng.standard_normal(b.shape) * 0.1).astype(np.float32),
-        )
+    adapter = dataclasses.replace(adapter, theta=rng.standard_normal(adapter.theta.size) * 0.1)
     docs = ["abca", "cab"]
     _, analytic = adapter_nll_and_grad(base, adapter, doc_keys(vocab, docs))
     numeric = finite_difference_grads(base, adapter, docs)
@@ -195,9 +188,7 @@ def test_train_deterministic(tiny_base):
     cfg = lm.TrainConfig(learning_rate=1e-3, epochs=2, seed=9)
     a1 = lm.train_adapter(tiny_base, ["abc", "bca", "cab"], cfg, rank=2)
     a2 = lm.train_adapter(tiny_base, ["abc", "bca", "cab"], cfg, rank=2)
-    for name in a1.factors:
-        assert np.array_equal(a1.factors[name][0], a2.factors[name][0])
-        assert np.array_equal(a1.factors[name][1], a2.factors[name][1])
+    assert np.array_equal(a1.theta, a2.theta)
 
 
 @pytest.mark.parametrize("train", ["adapter", "base"])
@@ -238,34 +229,30 @@ def test_train_diverged_reported(tiny_base, monkeypatch):
         lm.train_adapter(tiny_base, ["abc"], cfg)
 
 
-def test_flat_layout_roundtrip():
-    _, adapter, _ = random_model(0)
-    theta = adapter.flat()
-    pieces = [x for pair in adapter.factors.values() for x in pair]
-    assert theta.dtype == np.float64
-    assert np.array_equal(theta, np.concatenate([x.ravel() for x in pieces]))
-    back = adapter.with_flat(theta)
-    assert (back.rank, back.alpha, list(back.factors)) == (
-        adapter.rank,
-        adapter.alpha,
-        list(adapter.factors),
-    )
-    for got, want in zip((x for pair in back.factors.values() for x in pair), pieces):
-        assert got.dtype == np.float32
-        assert np.array_equal(got, want)
-
-
-def test_with_flat_validation():
-    _, adapter, _ = random_model(1)
-    theta = adapter.flat()
-    for bad in (theta[:-1], np.append(theta, 0.0), theta[None, :]):
-        with pytest.raises(ValueError, match="theta must have shape"):
-            adapter.with_flat(bad)
-    for value in (np.nan, np.inf):
-        broken = theta.copy()
-        broken[3] = value
-        with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
-            adapter.with_flat(broken)
+def test_theta_layout():
+    # theta is A then B of each target, row-major; factors are read-only views of it
+    base, adapter, _ = random_model(0)
+    r = adapter.rank
+    assert adapter.theta.dtype == np.float32 and not adapter.theta.flags.writeable
+    assert adapter.shapes == tuple(getattr(base, n).shape for n in lm.TARGET_NAMES)
+    assert list(adapter.factors) == list(lm.TARGET_NAMES)
+    off = 0
+    for (name, (a, b)), (d_out, d_in) in zip(adapter.factors.items(), adapter.shapes):
+        assert (a.shape, b.shape) == ((r, d_in), (d_out, r))
+        for x in (a, b):
+            assert np.shares_memory(x, adapter.theta) and not x.flags.writeable
+            assert np.array_equal(x.ravel(), adapter.theta[off : off + x.size])
+            off += x.size
+    assert off == adapter.theta.size
+    # a float64 theta is rounded to float32, and the caller's array is copied
+    theta = adapter.theta.astype(np.float64) + 1e-9
+    again = dataclasses.replace(adapter, theta=theta)
+    assert np.array_equal(again.theta, theta.astype(np.float32))
+    assert not np.shares_memory(again.theta, theta) and theta.flags.writeable
+    with pytest.raises(TypeError):
+        again.factors["block0"] = again.factors["block1"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        again.theta = theta
 
 
 # The per-array dict AdamW that the one-vector optimiser replaced, kept as
@@ -312,11 +299,8 @@ def reference_fit_adapter(base, init, batches, cfg):
     }
 
     def rounded():
-        factors = {
-            n: (params[n, "A"].astype(np.float32), params[n, "B"].astype(np.float32))
-            for n in init.factors
-        }
-        return lm.LoraAdapter(factors=factors, rank=init.rank, alpha=init.alpha)
+        theta = np.concatenate([x.astype(np.float32).ravel() for x in params.values()])
+        return dataclasses.replace(init, theta=theta)
 
     def loss_and_grad(batch):
         adapter = rounded()
@@ -333,10 +317,8 @@ def reference_fit_adapter(base, init, batches, cfg):
 
 
 def assert_same_adapter(got, want):
-    assert list(got.factors) == list(want.factors)
-    for (ga, gb), (wa, wb) in zip(got.factors.values(), want.factors.values()):
-        assert np.array_equal(ga, wa)
-        assert np.array_equal(gb, wb)
+    assert (got.shapes, got.rank, got.alpha) == (want.shapes, want.rank, want.alpha)
+    assert np.array_equal(got.theta, want.theta)
 
 
 @pytest.mark.parametrize(
@@ -458,6 +440,7 @@ def test_adapter_linearity_in_b(tiny_base):
     rng = np.random.default_rng(31)
     a = (rng.standard_normal((2, 4)) * 0.3).astype(np.float32)
     b = (rng.standard_normal((tiny_base.vocab.size, 2)) * 0.3).astype(np.float32)
+    shapes = [getattr(tiny_base, n).shape for n in lm.TARGET_NAMES]
 
     def logits(badapter):
         probs = lm.forward(tiny_base, badapter, "ab")
@@ -466,9 +449,8 @@ def test_adapter_linearity_in_b(tiny_base):
     base_logits = logits(None)
 
     def delta_for(scale):
-        factors = {name: (np.ones((2, 4)), np.zeros((4, 2))) for name in ("block0", "block1")}
-        factors["out_proj"] = (a, (scale * b).astype(np.float32))
-        adapter = lm.LoraAdapter(factors=factors, rank=2, alpha=2.0)
+        theta = [np.ones(8), np.zeros(8)] * 2 + [a, (scale * b).astype(np.float32)]
+        adapter = lm.LoraAdapter(np.concatenate([x.ravel() for x in theta]), shapes, 2, 2.0)
         raw = logits(adapter) - base_logits
         return raw - raw.mean()  # log-softmax shift invariance
 
@@ -476,24 +458,28 @@ def test_adapter_linearity_in_b(tiny_base):
 
 
 def test_adapter_validation(tiny_base):
+    adapter = lm.LoraAdapter.init(tiny_base, rank=2, seed=0)
+    theta, shapes = adapter.theta, adapter.shapes
     with pytest.raises(ValueError, match="rank"):
-        lm.LoraAdapter(factors={}, rank=0, alpha=1.0)
+        lm.LoraAdapter(theta, shapes, rank=0, alpha=1.0)
     for alpha in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="alpha"):
-            lm.LoraAdapter(factors={}, rank=1, alpha=alpha)
-    adapter = lm.LoraAdapter.init(tiny_base, rank=2, seed=0)
+            lm.LoraAdapter(theta, shapes, rank=2, alpha=alpha)
     for bad in (np.inf, np.nan):
-        a, b = adapter.factors["block1"]
-        a = a.copy()
-        a[1, 2] = bad
+        broken = theta.copy()
+        broken[3] = bad
         with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
-            lm.LoraAdapter(factors={**adapter.factors, "block1": (a, b)}, rank=2, alpha=16.0)
-    # every adapter targets exactly the TARGET_NAMES, in that order
-    names = list(lm.TARGET_NAMES)
-    for targets in ([], names[:1], names[1:], names[::-1], names + ["embed_table"]):
-        factors = {name: adapter.factors.get(name, adapter.factors["block0"]) for name in targets}
-        with pytest.raises(ValueError, match=r"adapter targets .*, not \('block0'"):
-            lm.LoraAdapter(factors=factors, rank=2, alpha=16.0)
+            lm.LoraAdapter(broken, shapes, rank=2, alpha=16.0)
+    # theta holds exactly the factors that rank and shapes give
+    for wrong in (theta[:-1], np.append(theta, 0.0), theta[None, :]):
+        with pytest.raises(ValueError, match=rf"theta must have shape \({theta.size},\)"):
+            lm.LoraAdapter(wrong, shapes, rank=2, alpha=16.0)
+    with pytest.raises(ValueError, match="theta must have shape"):
+        lm.LoraAdapter(theta, shapes, rank=1, alpha=16.0)
+    # one positive (d_out, d_in) per target of TARGET_NAMES
+    for wrong in (shapes[:2], shapes + shapes[:1], shapes[:2] + ((0, 4),)):
+        with pytest.raises(ValueError, match="not one positive"):
+            lm.LoraAdapter(theta, wrong, rank=2, alpha=16.0)
 
 
 def test_train_base_learns(tiny_vocab):
@@ -516,11 +502,7 @@ def random_model(seed: int):
     base = lm.BaseParams.init_random(vocab, hidden=5, seed=seed, scale=0.5)
     adapter = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
     rng = np.random.default_rng(seed)
-    for name, (a, b) in adapter.factors.items():
-        adapter.factors[name] = (
-            (rng.standard_normal(a.shape) * 0.3).astype(np.float32),
-            (rng.standard_normal(b.shape) * 0.3).astype(np.float32),
-        )
+    adapter = dataclasses.replace(adapter, theta=rng.standard_normal(adapter.theta.size) * 0.3)
     docs = [
         "".join(rng.choice(list("abcdef"), size=int(rng.integers(1, 25))))
         for _ in range(int(rng.integers(1, 6)))
@@ -540,7 +522,7 @@ def reference_log_probs(base, adapter, doc, eval_prefix_len=0):
 def reference_dense_grads(base, adapter, docs, max_seq_len=256):
     """Mean NLL and dense-weight gradients with one backward row per token."""
     weights = {n: getattr(base, n).astype(np.float64) for n in lm.DENSE_NAMES}
-    for name in adapter.factors:
+    for name in lm.TARGET_NAMES:
         weights[name] = weights[name] + adapter.delta(name)
     inputs, targets = [], []
     for doc in docs:
@@ -605,7 +587,7 @@ def test_nll_and_grad_match_per_token_reference(seed):
     for name, (a, b) in adapter.factors.items():
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
         ref += [adapter.scale * (b64.T @ ref_dense[name]), adapter.scale * (ref_dense[name] @ a64.T)]
-    assert grads.shape == adapter.flat().shape
+    assert grads.shape == adapter.theta.shape
     for got, want in zip(np.split(grads, np.cumsum([r.size for r in ref])[:-1]), ref):
         assert rel_err(got, want.ravel()) <= 1e-10
     # the same backward trains the base, embedding included
@@ -711,9 +693,12 @@ def test_generate_matches_reference_on_many_models():
         adapter = None
         if m % 2:
             adapter = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=m)
-            for name, (fa, fb) in adapter.factors.items():
-                fb = (rng.standard_normal(fb.shape) * 0.3).astype(np.float32)
-                adapter.factors[name] = (fa * 20, fb)
+            theta = [
+                x.ravel()
+                for fa, fb in adapter.factors.values()
+                for x in (fa * 20, (rng.standard_normal(fb.shape) * 0.3).astype(np.float32))
+            ]
+            adapter = dataclasses.replace(adapter, theta=np.concatenate(theta))
         for _ in range(10):
             prompt = "".join(rng.choice(list(string.ascii_lowercase), size=int(rng.integers(0, 8))))
             seed = int(rng.integers(2**31))
