@@ -465,21 +465,27 @@ def test_adapter_validation(tiny_base):
     for alpha in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="alpha"):
             lm.LoraAdapter(theta, shapes, rank=2, alpha=alpha)
-    for bad in (np.inf, np.nan):
-        broken = theta.copy()
-        broken[3] = bad
-        with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
-            lm.LoraAdapter(broken, shapes, rank=2, alpha=16.0)
-    # theta holds exactly the factors that rank and shapes give
-    for wrong in (theta[:-1], np.append(theta, 0.0), theta[None, :]):
-        with pytest.raises(ValueError, match=rf"theta must have shape \({theta.size},\)"):
-            lm.LoraAdapter(wrong, shapes, rank=2, alpha=16.0)
-    with pytest.raises(ValueError, match="theta must have shape"):
-        lm.LoraAdapter(theta, shapes, rank=1, alpha=16.0)
     # one positive (d_out, d_in) per target of TARGET_NAMES
     for wrong in (shapes[:2], shapes + shapes[:1], shapes[:2] + ((0, 4),)):
         with pytest.raises(ValueError, match="not one positive"):
             lm.LoraAdapter(theta, wrong, rank=2, alpha=16.0)
+
+
+def test_with_flat_validation():
+    # an adapter built from a flat vector takes exactly the factors that
+    # rank and shapes give, all finite
+    _, adapter, _ = random_model(1)
+    theta, shapes = adapter.theta, adapter.shapes
+    for wrong in (theta[:-1], np.append(theta, 0.0), theta[None, :]):
+        with pytest.raises(ValueError, match=rf"theta must have shape \({theta.size},\)"):
+            lm.LoraAdapter(wrong, shapes, rank=2, alpha=3.0)
+    with pytest.raises(ValueError, match="theta must have shape"):
+        lm.LoraAdapter(theta, shapes, rank=1, alpha=3.0)
+    for value in (np.nan, np.inf):
+        broken = theta.copy()
+        broken[3] = value
+        with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
+            lm.LoraAdapter(broken, shapes, rank=2, alpha=3.0)
 
 
 def test_train_base_learns(tiny_vocab):
