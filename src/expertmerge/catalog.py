@@ -1,5 +1,5 @@
 """On-disk expert catalog: adapter serialization, manifest, checked loading
-of experts by id, the timed route-load-merge and the tau×beta latency sweep.
+of experts by id, and the timed route-load-merge.
 
 Adapter binary format 2 (little-endian throughout):
 
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-import statistics
 import struct
 import time
+import zipfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -297,11 +297,23 @@ def save_base(base: lm.BaseParams, root: str | Path) -> None:
 
 
 def load_base(root: str | Path) -> lm.BaseParams:
+    """The base model in base.npz and vocab.txt. A base.npz that is not an
+    .npz archive, lacks a matrix or holds one that BaseParams rejects raises
+    one ValueError naming the catalog and base.npz."""
     root = Path(root)
-    arrays = np.load(root / "base.npz")
     chars = (root / "vocab.txt").read_text(encoding="utf-8")
     vocab = lm.Vocab(symbols=lm.BOS + lm.EOS + chars)
-    return lm.BaseParams(vocab=vocab, **{name: arrays[name] for name in lm.DENSE_NAMES})
+    with open(root / "base.npz", "rb") as f:
+        try:
+            if not zipfile.is_zipfile(f):
+                raise ValueError("not an .npz archive")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as arrays:
+                weights = {name: arrays[name] for name in lm.DENSE_NAMES}
+            return lm.BaseParams(vocab=vocab, **weights)
+        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+            detail = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
+            raise ValueError(f"catalog {root}: cannot read base.npz ({detail})") from exc
 
 
 def load_active(
@@ -350,52 +362,3 @@ def timed_route_merge(
     )
     return merged, report
 
-
-def bench_sweep(
-    catalog: ExpertCatalog,
-    query: np.ndarray,
-    taus: list[float],
-    betas: list[float],
-    repetitions: int,
-) -> list[dict]:
-    """Median select/load/merge latency per (tau, beta) cell."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    rows = []
-    for tau in taus:
-        for beta in betas:
-            route_cfg = RoutingConfig(beta=beta, tau=tau)
-            selects, loads, merges = [], [], []
-            n_active = 0
-            bytes_loaded = 0
-            for _ in range(repetitions):
-                _, rep = timed_route_merge(catalog, query, route_cfg)
-                selects.append(rep.select_duration)
-                loads.append(rep.load_duration)
-                merges.append(rep.merge_duration)
-                n_active = rep.n_active
-                bytes_loaded = rep.bytes_loaded
-            rows.append(
-                {
-                    "tau": tau,
-                    "beta": beta,
-                    "n_active": n_active,
-                    "bytes_loaded": bytes_loaded,
-                    "select_ms": 1e3 * statistics.median(selects),
-                    "load_ms": 1e3 * statistics.median(loads),
-                    "merge_ms": 1e3 * statistics.median(merges),
-                }
-            )
-    return rows
-
-
-def bench_csv(rows: list[dict]) -> str:
-    """bench_sweep rows as CSV text with a header line."""
-    lines = ["tau,beta,n_active,select_ms,load_ms,merge_ms,bytes_loaded"]
-    for row in rows:
-        lines.append(
-            f"{row['tau']},{row['beta']},{row['n_active']},"
-            f"{row['select_ms']:.4f},{row['load_ms']:.4f},{row['merge_ms']:.4f},"
-            f"{row['bytes_loaded']}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Command-line surface: build, eval, bench, generate, cluster-report."""
+"""Command-line surface: build, eval, generate, cluster-report."""
 
 from __future__ import annotations
 
@@ -53,23 +53,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    docs = read_corpus(args.corpus)
-    built = pipeline.load_built(docs, args.catalog)
-    cfg = built.cfg
-    taus = [float(t) for t in args.taus.split(",")]
-    betas = [float(b) for b in args.betas.split(",")]
-    query_doc = docs[built.split.test[0]]
-    query = embedding.embed(
-        cfg.embedder, query_doc[: cfg.protocol.query_prefix_len] or query_doc
-    )
-    text = store.bench_csv(store.bench_sweep(built.catalog, query, taus, betas, args.repetitions))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    print(text)
-    return 0
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg, cat, base = pipeline.open_catalog(args.catalog)
 
@@ -97,9 +80,9 @@ def cmd_cluster_report(args: argparse.Namespace) -> int:
     k_list = [int(k) for k in args.k_list.split(",")]
     curve = clustering.elbow_curve(embs, k_list, cfg.seed)
     print("K,loss")
-    for k, loss in curve:
+    for k, loss, _ in curve:
         print(f"{k},{loss:.6f}")
-    assignment = clustering.bisecting_kmeans(embs, k_list[-1], cfg.seed)
+    assignment = curve[-1][2]
     print("\ncluster titles (top character n-grams)")
     for k in range(assignment.K):
         members = assignment.members(k)
@@ -141,15 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="report output directory")
     p.add_argument("--methods", help="comma-separated subset of methods")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="latency sweep over tau and beta")
-    p.add_argument("catalog")
-    p.add_argument("corpus")
-    p.add_argument("--taus", default="0.0,0.005,0.01,0.02")
-    p.add_argument("--betas", default="0.02,0.05,0.1")
-    p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("generate", help="generate text with base/merged/expert model")
     p.add_argument("catalog")

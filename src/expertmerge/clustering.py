@@ -238,12 +238,12 @@ def compute_centroids(embeddings: np.ndarray, assignment: ClusterAssignment) -> 
 
 def elbow_curve(
     embeddings: np.ndarray, K_list: list[int], seed: int
-) -> list[tuple[int, float]]:
-    """(K, k-means loss) for each K; loss is non-increasing in K."""
+) -> list[tuple[int, float, ClusterAssignment]]:
+    """(K, k-means loss, clustering) for each K; loss is non-increasing in K."""
     if sorted(K_list) != list(K_list):
         raise ValueError("K_list must be sorted ascending")
     curve = []
     for K in K_list:
         assignment = bisecting_kmeans(embeddings, K, seed)
-        curve.append((K, kmeans_loss(embeddings, assignment)))
+        curve.append((K, kmeans_loss(embeddings, assignment), assignment))
     return curve

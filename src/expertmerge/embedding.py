@@ -26,6 +26,8 @@ class EmbedderConfig:
             raise ValueError("ngram_orders must be non-empty")
         if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in self.ngram_orders):
             raise ValueError(f"ngram orders must be integers >= 1, got {self.ngram_orders}")
+        if not 0 <= self.hash_seed < 2**64:  # the 8-byte blake2b key
+            raise ValueError(f"hash_seed must be in [0, 2**64), got {self.hash_seed}")
 
     def fingerprint(self) -> str:
         """Hex digest identifying this embedder configuration."""

@@ -60,7 +60,8 @@ def merge_adapters(
 
 def apply_merged(base: lm.BaseParams, merged: MergedAdapter) -> lm.BaseParams:
     """New BaseParams with W + delta per adapted matrix, built once; base
-    untouched. It shares the base's arrays of the matrices no delta touches."""
+    untouched. It shares the base's arrays of the matrices no delta touches,
+    and BaseParams stores each sum in float32."""
     weights = {name: getattr(base, name) for name in lm.DENSE_NAMES}
     for name, delta in merged.deltas.items():
         current = weights[name]
@@ -69,6 +70,6 @@ def apply_merged(base: lm.BaseParams, merged: MergedAdapter) -> lm.BaseParams:
                 f"shape mismatch for matrix {name!r}: base {current.shape}, "
                 f"delta {delta.shape}"
             )
-        weights[name] = (current.astype(np.float64) + delta).astype(np.float32)
+        weights[name] = np.add(current, delta, dtype=np.float64)
     return lm.BaseParams(vocab=base.vocab, **weights)
 

@@ -15,7 +15,6 @@ from conftest import CallCounter, random_unit_vectors
 from expertmerge import catalog as store
 from expertmerge import model as lm
 from expertmerge import pipeline, routing
-from expertmerge.catalog import bench_sweep
 from expertmerge.config import RunConfig
 from expertmerge.corpus import generate_corpus
 from expertmerge.embedding import embed_corpus
@@ -273,11 +272,14 @@ def test_criterion_10_latency_report(headline):
     built, _, _ = headline
     query = built.catalog.centroids[0]
     taus = [0.0, 0.005, 0.01, 0.02, 0.03]
-    rows = bench_sweep(built.catalog, query, taus, [0.05], repetitions=10)
-    actives = [row["n_active"] for row in rows]
+    reports = [
+        store.timed_route_merge(built.catalog, query, routing.RoutingConfig(beta=0.05, tau=t))[1]
+        for t in taus
+    ]
+    actives = [rep.n_active for rep in reports]
     phases_ok = all(
-        row["select_ms"] >= 0 and row["load_ms"] >= 0 and row["merge_ms"] >= 0
-        for row in rows
+        rep.select_duration >= 0 and rep.load_duration >= 0 and rep.merge_duration >= 0
+        for rep in reports
     )
     ok = actives == sorted(actives, reverse=True) and phases_ok
     verdict(10, ok, f"n_active over tau {taus}: {actives}")

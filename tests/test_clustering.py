@@ -159,13 +159,15 @@ def test_degenerate_centroid_rejected():
 def test_elbow_curve():
     x = blobs_around([0, 1, 2], per_blob=4, d=6, seed=10)
     curve = elbow_curve(x, [1, 2, 3, 12], 0)
-    losses = [loss for _, loss in curve]
+    losses = [loss for _, loss, _ in curve]
     assert losses == sorted(losses, reverse=True) or all(
         losses[i] >= losses[i + 1] for i in range(len(losses) - 1)
     )
     assert losses[-1] == 0.0
     total_variance = kmeans_loss(x, ClusterAssignment(labels=np.zeros(12, dtype=int), K=1))
     assert curve[0][1] == pytest.approx(total_variance, rel=1e-12)
+    # each entry's clustering is the one bisecting_kmeans gives at its K
+    assert all(np.array_equal(a.labels, bisecting_kmeans(x, k, 0).labels) for k, _, a in curve)
     with pytest.raises(ValueError):
         elbow_curve(x, [3, 1], 0)
 

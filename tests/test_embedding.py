@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expertmerge.config import RunConfig
 from expertmerge.embedding import (
     EmbedderConfig,
     bucket_sign,
@@ -39,6 +40,17 @@ def test_config_validation():
         EmbedderConfig(ngram_orders=())
     with pytest.raises(ValueError):
         EmbedderConfig(ngram_orders=(0,))
+
+
+def test_hash_seed_is_an_8_byte_key():
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="hash_seed must be in"):
+            EmbedderConfig(hash_seed=bad)
+        with pytest.raises(ValueError, match="hash_seed must be in"):
+            RunConfig().with_overrides({"embedder.hash_seed": bad})
+    for good in (0, 2**64 - 1):
+        vec = embed(EmbedderConfig(dim=64, hash_seed=good), "abc")
+        assert vec.shape == (64,) and np.isclose(np.linalg.norm(vec), 1.0)
 
 
 def test_embed_deterministic():

@@ -116,9 +116,8 @@ def test_apply_overflow_raises(small_base):
     delta = np.zeros_like(base.out_proj)
     delta[0, 0] = 3e38  # finite in float32, but W + delta is not
     merged = MergedAdapter(deltas={"out_proj": delta}, provenance=MergeWeights(entries={0: 1.0}))
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="non-finite entries in out_proj"):
-            apply_merged(base, merged)
+    with pytest.raises(ValueError, match="non-finite entries in out_proj"):
+        apply_merged(base, merged)
 
 
 def test_apply_shape_mismatch(small_base):

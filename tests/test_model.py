@@ -471,6 +471,21 @@ def test_adapter_validation(tiny_base):
             lm.LoraAdapter(theta, wrong, rank=2, alpha=16.0)
 
 
+def test_base_params_cast_then_check(tiny_base):
+    # a float64 matrix past the float32 range (a base.npz may hold one)
+    # rounds to inf in float32 and is rejected, with no overflow warning
+    weights = {name: getattr(tiny_base, name) for name in lm.DENSE_NAMES}
+    for value in (1e39, -1e39):
+        big = weights["block1"].astype(np.float64)
+        big[0, 0] = value
+        with pytest.raises(ValueError, match="non-finite entries in block1"):
+            lm.BaseParams(vocab=tiny_base.vocab, **{**weights, "block1": big})
+    near = weights["block1"].astype(np.float64)
+    near[0, 0] = 3e38  # within the float32 range: stored as the nearest float32
+    base = lm.BaseParams(vocab=tiny_base.vocab, **{**weights, "block1": near})
+    assert base.block1.dtype == np.float32 and base.block1[0, 0] == np.float32(3e38)
+
+
 def test_with_flat_validation():
     # an adapter built from a flat vector takes exactly the factors that
     # rank and shapes give, all finite
@@ -481,8 +496,10 @@ def test_with_flat_validation():
             lm.LoraAdapter(wrong, shapes, rank=2, alpha=3.0)
     with pytest.raises(ValueError, match="theta must have shape"):
         lm.LoraAdapter(theta, shapes, rank=1, alpha=3.0)
-    for value in (np.nan, np.inf):
-        broken = theta.copy()
+    # a float64 entry past the float32 range rounds to inf in the cast: it is
+    # rejected as inf is, with no overflow warning
+    for dtype, value in ((np.float32, np.nan), (np.float32, np.inf), (np.float64, 1e39)):
+        broken = theta.astype(dtype)
         broken[3] = value
         with pytest.raises(ValueError, match="non-finite entries in adapter factors"):
             lm.LoraAdapter(broken, shapes, rank=2, alpha=3.0)

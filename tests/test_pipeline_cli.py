@@ -11,9 +11,8 @@ import pytest
 
 from conftest import CallCounter
 from expertmerge import catalog as store
-from expertmerge import embedding, evaluation, pipeline
+from expertmerge import clustering, embedding, evaluation, pipeline
 from expertmerge import model as lm
-from expertmerge.catalog import bench_sweep
 from expertmerge.cli import main
 from expertmerge.config import EvalProtocol, RunConfig
 from expertmerge.corpus import CorpusConfig, generate_corpus, write_corpus
@@ -283,40 +282,35 @@ def test_cli_damaged_catalog_config_is_one_error_line(built, tmp_path, capsys):
     assert err.startswith(f"error: bad config: {root / 'config.yaml'} is not valid YAML (")
 
 
-def test_cli_bench(tiny_corpus, tmp_path, capsys):
-    _, corpus_path, cfg = tiny_corpus
-    cat_dir = tmp_path / "cat"
-    cfg_path = tmp_path / "run.yaml"
-    cfg.save(cfg_path)
-    main(["build", str(corpus_path), str(cat_dir), "--config", str(cfg_path)])
-    capsys.readouterr()
-    rc = main(
-        [
-            "bench",
-            str(cat_dir),
-            str(corpus_path),
-            "--taus",
-            "0.0,0.1",
-            "--betas",
-            "0.05",
-            "--repetitions",
-            "3",
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("tau,beta,n_active")
-    assert len(out.strip().splitlines()) == 3  # header + 2 cells
+def _without_block1(path, weights):
+    del weights["block1"]
+    np.savez(path, **weights)
 
 
-def test_bench_sweep_n_active_monotone(built):
-    result, docs, cfg = built
-    query = result.catalog.centroids[0]
-    rows = bench_sweep(result.catalog, query, [0.0, 0.05, 0.2], [0.05], repetitions=2)
-    actives = [row["n_active"] for row in rows]
-    assert actives == sorted(actives, reverse=True)
-    with pytest.raises(ValueError):
-        bench_sweep(result.catalog, query, [0.0], [0.05], repetitions=0)
+def _block0_past_float32(path, weights):
+    weights["block0"] = weights["block0"].astype(np.float64) * 1e39
+    np.savez(path, **weights)
+
+
+@pytest.mark.parametrize(
+    "damage, detail",
+    [
+        (lambda path, weights: path.write_bytes(b"not an archive\n"), "not an .npz archive"),
+        (_without_block1, "block1 is not a file in the archive"),
+        (_block0_past_float32, "non-finite entries in block0"),
+    ],
+    ids=["not an archive", "no block1", "block0 past float32"],
+)
+def test_cli_damaged_base_is_one_error_line(built, tmp_path, capsys, damage, detail):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    with np.load(root / "base.npz") as arrays:
+        weights = dict(arrays)
+    damage(root / "base.npz", weights)
+    assert main(["generate", str(root), docs[0][:6]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: catalog {root}: cannot read base.npz ({detail})\n"
 
 
 def test_cli_generate(tiny_corpus, tmp_path, capsys):
@@ -501,10 +495,12 @@ def test_cli_rejects_unknown_set_key(tiny_corpus, capsys, key):
     assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
 
 
-def test_cli_cluster_report(tiny_corpus, tmp_path, capsys):
-    _, corpus_path, cfg = tiny_corpus
+def test_cli_cluster_report(tiny_corpus, tmp_path, capsys, monkeypatch):
+    docs, corpus_path, cfg = tiny_corpus
     cfg_path = tmp_path / "run.yaml"
     cfg.save(cfg_path)
+    last = clustering.bisecting_kmeans(embed_corpus(cfg.embedder, docs), 4, cfg.seed)
+    runs = CallCounter(monkeypatch, clustering, "bisecting_kmeans")
     rc = main(
         [
             "cluster-report",
@@ -518,4 +514,7 @@ def test_cli_cluster_report(tiny_corpus, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("K,loss")
-    assert "cluster 0" in out
+    # one clustering per K: the titles reuse the clustering at the last K
+    assert runs.calls == 3
+    sizes = [int(n) for n in re.findall(r"cluster \d+ \(n=(\d+)\)", out)]
+    assert sizes == [len(last.members(k)) for k in range(4)]
