@@ -60,16 +60,20 @@ def merge_adapters(
 
 def apply_merged(base: lm.BaseParams, merged: MergedAdapter) -> lm.BaseParams:
     """New BaseParams with W + delta per adapted matrix, built once; base
-    untouched. It shares the base's arrays of the matrices no delta touches,
-    and BaseParams stores each sum in float32."""
+    untouched. It shares the base's arrays of the matrices no delta touches.
+
+    Both operands are float32, so the float32 sum has the bits of the float64
+    sum rounded to float32; a sum past the float32 range is inf, which
+    BaseParams rejects."""
     weights = {name: getattr(base, name) for name in lm.DENSE_NAMES}
-    for name, delta in merged.deltas.items():
-        current = weights[name]
-        if current.shape != delta.shape:
-            raise ValueError(
-                f"shape mismatch for matrix {name!r}: base {current.shape}, "
-                f"delta {delta.shape}"
-            )
-        weights[name] = np.add(current, delta, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for name, delta in merged.deltas.items():
+            current = weights[name]
+            if current.shape != delta.shape:
+                raise ValueError(
+                    f"shape mismatch for matrix {name!r}: base {current.shape}, "
+                    f"delta {delta.shape}"
+                )
+            weights[name] = current + delta
     return lm.BaseParams(vocab=base.vocab, **weights)
 

@@ -150,13 +150,11 @@ class LoraAdapter:
         shapes = tuple(map(tuple, self.shapes))
         if len(shapes) != len(TARGET_NAMES) or min(map(min, shapes)) < 1:
             raise ValueError(f"shapes {shapes} are not one positive (d_out, d_in) per target")
-        # a copy no caller can write, cast first and checked after, as in
-        # BaseParams; a float32 theta (what load_adapter gives) cannot
-        # overflow, so it is copied without np.errstate (about 0.8 us)
-        theta = np.asarray(self.theta)
-        if theta.dtype == np.float32:
-            theta = theta.copy()
-        else:
+        # a copy no caller can write; another dtype is cast to float32 first and
+        # checked after, as in BaseParams. A float32 theta (what load_adapter
+        # gives) skips np.errstate, about 1 us per adapter and per expert loaded
+        theta = np.array(self.theta)
+        if theta.dtype != np.float32:
             with np.errstate(over="ignore"):
                 theta = theta.astype(np.float32)
         size = r * sum(d_out + d_in for d_out, d_in in shapes)

@@ -96,6 +96,9 @@ def test_apply_then_subtract_recovers_base(small_base):
     for name, delta in merged.deltas.items():
         recovered = getattr(model, name).astype(np.float64) - delta.astype(np.float64)
         assert np.max(np.abs(recovered - getattr(small_base, name))) <= 1e-6
+        # the float32 sum is the float64 sum rounded to float32, bit for bit
+        rounded = (getattr(small_base, name).astype(np.float64) + delta).astype(np.float32)
+        assert getattr(model, name).tobytes() == rounded.tobytes()
     # base itself untouched
     for name in merged.deltas:
         assert not np.array_equal(getattr(model, name), getattr(small_base, name))
