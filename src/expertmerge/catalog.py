@@ -1,7 +1,7 @@
 """On-disk expert catalog: adapter serialization, manifest, checked loading
 of experts by id, and the timed route-load-merge.
 
-Adapter binary format 2 (little-endian throughout):
+Catalog format 3. An adapter file is (little-endian throughout):
 
     HEADER: magic "TTMM" | version u16 | base fingerprint (32 bytes)
             | d_out u32, d_in u32 of each model.TARGET_NAMES entry
@@ -12,8 +12,10 @@ Adapter binary format 2 (little-endian throughout):
 
 The manifest is a human-readable key/value text file; the centroids are
 centroids.npy beside it, and adapters live in an adapters/ subdirectory.
-Every .npy file of a catalog is read by read_array. A catalog of format 1
-(per-matrix adapter records, centroids and labels as text) must be rebuilt.
+The base model is vocab.txt and base.npy, one (2V+2h, h) float32 array of
+the rows of embed_table, block0, block1 and out_proj. Every .npy file of a
+catalog is read by read_array. An older catalog (format 2 kept the base in
+base.npz) must be rebuilt.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ import hashlib
 import re
 import struct
 import time
-import zipfile
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,12 @@ from .merging import MergedAdapter, merge_adapters
 from .routing import RoutingConfig
 
 MAGIC = b"TTMM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 HEADER = struct.Struct("<4sH32s" + "II" * len(lm.TARGET_NAMES) + "If")
 MANIFEST_NAME = "manifest.txt"
 CENTROIDS_NAME = "centroids.npy"
+BASE_NAME = "base.npy"
+VOCAB_NAME = "vocab.txt"
 ADAPTER_DIR = "adapters"
 
 
@@ -180,16 +183,7 @@ def save_manifest(catalog: ExpertCatalog) -> Path:
         "",
     ]
     for rec in catalog.records:
-        lines.extend(
-            [
-                f"expert_id: {rec.expert_id}",
-                f"cluster_size: {rec.cluster_size}",
-                f"adapter_path: {rec.adapter_path}",
-                f"byte_size: {rec.byte_size}",
-                f"checksum: {rec.checksum}",
-                "",
-            ]
-        )
+        lines.extend([f"{key}: {value}" for key, value in asdict(rec).items()] + [""])
     path = catalog.root / MANIFEST_NAME
     path.write_text("\n".join(lines), encoding="utf-8")
     return path
@@ -207,7 +201,10 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
     ValueError naming the file."""
     root = Path(root)
     path = root / MANIFEST_NAME
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"manifest {path}: cannot read it ({exc})") from exc
     header: dict[str, str] = {}
     fields: list[dict[str, str]] = []
     current: dict[str, str] = {}
@@ -292,28 +289,29 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
 
 def save_base(base: lm.BaseParams, root: str | Path) -> None:
     root = Path(root)
-    np.savez(root / "base.npz", **{name: getattr(base, name) for name in lm.DENSE_NAMES})
-    (root / "vocab.txt").write_text(base.vocab.symbols[2:], encoding="utf-8")
+    weights = [getattr(base, name) for name in lm.DENSE_NAMES]
+    np.save(root / BASE_NAME, np.concatenate(weights), allow_pickle=False)
+    (root / VOCAB_NAME).write_text(base.vocab.symbols[2:], encoding="utf-8")
 
 
 def load_base(root: str | Path) -> lm.BaseParams:
-    """The base model in base.npz and vocab.txt. A base.npz that is not an
-    .npz archive, lacks a matrix or holds one that BaseParams rejects raises
-    one ValueError naming the catalog and base.npz."""
+    """The base model in vocab.txt and base.npy, one (2V+2h, h) float32 array
+    of the rows of embed_table (V), block0 (h), block1 (h) and out_proj (V).
+    Any fault raises one ValueError naming the catalog and the file."""
     root = Path(root)
-    chars = (root / "vocab.txt").read_text(encoding="utf-8")
-    vocab = lm.Vocab(symbols=lm.BOS + lm.EOS + chars)
-    with open(root / "base.npz", "rb") as f:
-        try:
-            if not zipfile.is_zipfile(f):
-                raise ValueError("not an .npz archive")
-            f.seek(0)
-            with np.load(f, allow_pickle=False) as arrays:
-                weights = {name: arrays[name] for name in lm.DENSE_NAMES}
-            return lm.BaseParams(vocab=vocab, **weights)
-        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
-            detail = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote it
-            raise ValueError(f"catalog {root}: cannot read base.npz ({detail})") from exc
+    try:
+        vocab = lm.Vocab(lm.BOS + lm.EOS + (root / VOCAB_NAME).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"catalog {root}: cannot read {VOCAB_NAME} ({exc})") from exc
+    rows = read_array(root / BASE_NAME, np.float32, (None, None))
+    v, (n, h) = vocab.size, rows.shape
+    try:
+        if n != 2 * (v + h):
+            raise ValueError(f"{n} rows, expected 2(V+h) = {2 * (v + h)}")
+        b1, out = v + h, v + 2 * h  # the first rows of block1 and out_proj
+        return lm.BaseParams(vocab, rows[:v], rows[v:b1], rows[b1:out], rows[out:])
+    except ValueError as exc:
+        raise ValueError(f"catalog {root}: cannot read {BASE_NAME} ({exc})") from exc
 
 
 def load_active(

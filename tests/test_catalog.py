@@ -51,7 +51,7 @@ def test_file_is_header_then_flat_factors(tmp_path, adapter, fingerprint):
     path = tmp_path / "e.adapter"
     cat.save_adapter(adapter, path, fingerprint)
     blob = path.read_bytes()
-    assert blob[:4] == b"TTMM" and struct.unpack_from("<H", blob, 4) == (2,)
+    assert blob[:4] == b"TTMM" and struct.unpack_from("<H", blob, 4) == (3,)
     values = np.frombuffer(blob[cat.HEADER.size : -8], dtype="<f4")
     assert np.array_equal(values, adapter.theta)
 
@@ -135,6 +135,17 @@ def test_format_1_adapter_rejected(tmp_path, adapter, fingerprint):
     path = tmp_path / "e.adapter"
     path.write_bytes(payload + struct.pack("<Q", cat._checksum64(payload)))
     with pytest.raises(ValueError, match="^unsupported adapter format version 1$"):
+        cat.load_adapter(path, fingerprint)
+
+
+def test_format_2_adapter_rejected(tmp_path, adapter, fingerprint):
+    # a format-2 adapter has the format-3 layout under version 2
+    path = tmp_path / "e.adapter"
+    cat.save_adapter(adapter, path, fingerprint)
+    payload = bytearray(path.read_bytes()[:-8])
+    struct.pack_into("<H", payload, len(cat.MAGIC), 2)
+    path.write_bytes(bytes(payload) + struct.pack("<Q", cat._checksum64(bytes(payload))))
+    with pytest.raises(ValueError, match="^unsupported adapter format version 2$"):
         cat.load_adapter(path, fingerprint)
 
 
@@ -246,7 +257,21 @@ def _no_centroids(root):
     (root / cat.CENTROIDS_NAME).unlink()
 
 
+def _no_manifest(root):
+    (root / cat.MANIFEST_NAME).unlink()
+
+
+def _manifest_not_utf8(root):
+    path = root / cat.MANIFEST_NAME
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
 BAD_MANIFESTS = {
+    "no manifest": ((cat.MANIFEST_NAME, _no_manifest), "cannot read it .*No such file"),
+    "manifest not utf-8": (
+        (cat.MANIFEST_NAME, _manifest_not_utf8),
+        "cannot read it .*'utf-8' codec can't decode byte 0xff",
+    ),
     "no num_experts": (_manifest(_drop_line("num_experts")), "header has no num_experts"),
     "no base_fingerprint": (
         _manifest(_drop_line("base_fingerprint")),
@@ -313,6 +338,15 @@ def test_format_1_catalog_rejected(tmp_path, small_base):
         cat.load_catalog(catalog.root)
 
 
+def test_format_2_catalog_rejected(tmp_path, small_base):
+    # format 2 kept the base in base.npz; its manifest names version 2
+    catalog = build_catalog_dir(tmp_path, small_base, 2, ["abcd"])
+    manifest = catalog.root / cat.MANIFEST_NAME
+    manifest.write_text(_set_field("catalog_version", "2")(manifest.read_text()))
+    with pytest.raises(ValueError, match=r"manifest.txt: unsupported catalog version 2$"):
+        cat.load_catalog(catalog.root)
+
+
 def test_catalog_dense_id_validation(tmp_path, small_base):
     catalog = build_catalog_dir(tmp_path, small_base, 2, ["abcd"])
     records = list(catalog.records)
@@ -376,8 +410,30 @@ def test_timed_route_merge(tmp_path, small_base):
 
 def test_base_roundtrip(tmp_path, small_base):
     cat.save_base(small_base, tmp_path)
+    # one (2V+2h, h) float32 array: the rows of embed_table, block0, block1, out_proj
+    rows = np.load(tmp_path / cat.BASE_NAME, allow_pickle=False)
+    v, h = small_base.embed_table.shape
+    assert rows.dtype == np.float32 and rows.shape == (2 * (v + h), h)
+    assert np.array_equal(rows, np.concatenate([getattr(small_base, n) for n in lm.DENSE_NAMES]))
     loaded = cat.load_base(tmp_path)
     assert loaded.vocab.symbols == small_base.vocab.symbols
     for name in ("embed_table", "block0", "block1", "out_proj"):
         assert np.array_equal(getattr(loaded, name), getattr(small_base, name))
     assert loaded.fingerprint() == small_base.fingerprint()
+
+
+def test_load_base_reads_the_file_in_full_at_every_call(tmp_path, small_base):
+    # no cache across calls and no lazy (memory-mapped) read: a rewrite of
+    # base.npy shows at the next call, and a bad entry fails in load_base
+    cat.save_base(small_base, tmp_path)
+    before = cat.load_base(tmp_path)
+    path = tmp_path / cat.BASE_NAME
+    rows = np.load(path)
+    np.save(path, rows + 1.0)
+    after = cat.load_base(tmp_path)
+    assert np.array_equal(after.embed_table, before.embed_table + 1.0)
+    assert after.fingerprint() != before.fingerprint()
+    rows[-1, -1] = np.inf
+    np.save(path, rows)
+    with pytest.raises(ValueError, match=r"cannot read base\.npy \(non-finite entries in out_proj"):
+        cat.load_base(tmp_path)

@@ -65,7 +65,7 @@ def test_build_outputs(built):
     assert result.catalog.K == cfg.n_clusters
     root = result.catalog.root
     assert (root / "manifest.txt").exists()
-    assert (root / "base.npz").exists()
+    assert (root / store.BASE_NAME).exists()
     assert (root / "config.yaml").exists()
     assert (root / store.CENTROIDS_NAME).exists()
     assert (root / pipeline.ASSIGNMENT_NAME).exists()
@@ -282,37 +282,6 @@ def test_cli_damaged_catalog_config_is_one_error_line(built, tmp_path, capsys):
     assert err.startswith(f"error: bad config: {root / 'config.yaml'} is not valid YAML (")
 
 
-def _without_block1(path, weights):
-    del weights["block1"]
-    np.savez(path, **weights)
-
-
-def _block0_past_float32(path, weights):
-    weights["block0"] = weights["block0"].astype(np.float64) * 1e39
-    np.savez(path, **weights)
-
-
-@pytest.mark.parametrize(
-    "damage, detail",
-    [
-        (lambda path, weights: path.write_bytes(b"not an archive\n"), "not an .npz archive"),
-        (_without_block1, "block1 is not a file in the archive"),
-        (_block0_past_float32, "non-finite entries in block0"),
-    ],
-    ids=["not an archive", "no block1", "block0 past float32"],
-)
-def test_cli_damaged_base_is_one_error_line(built, tmp_path, capsys, damage, detail):
-    result, docs, _ = built
-    root = tmp_path / "cat"
-    shutil.copytree(result.catalog.root, root)
-    with np.load(root / "base.npz") as arrays:
-        weights = dict(arrays)
-    damage(root / "base.npz", weights)
-    assert main(["generate", str(root), docs[0][:6]]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: catalog {root}: cannot read base.npz ({detail})\n"
-
-
 def test_cli_generate(tiny_corpus, tmp_path, capsys):
     docs, corpus_path, cfg = tiny_corpus
     cat_dir = tmp_path / "cat"
@@ -427,6 +396,67 @@ ARRAY_DAMAGES = {
         path, np.concatenate([array, np.zeros_like(array[..., :1])], axis=-1)
     ),
 }
+
+
+def _without_block1(path, rows):
+    v, h = rows.shape[0] // 2 - rows.shape[1], rows.shape[1]
+    np.save(path, np.delete(rows, np.s_[v + h : v + 2 * h], axis=0))
+
+
+def _inf_in_block0(path, rows):
+    rows[rows.shape[0] // 2 - rows.shape[1], 0] = np.inf  # row V: block0's first
+    np.save(path, rows)
+
+
+# damages of base.npy, each with a part of the one error line it must give
+BASE_DAMAGES = {
+    "missing": (ARRAY_DAMAGES["missing"], "cannot read base.npy ([Errno 2] No such file"),
+    "pickled": (ARRAY_DAMAGES["pickled"], "cannot read base.npy (Object arrays cannot be loaded"),
+    "npz": (ARRAY_DAMAGES["npz"], "cannot read base.npy (the magic string is not correct"),
+    "not an array": (
+        lambda path, rows: path.write_bytes(b"not an array\n"),
+        "cannot read base.npy (the magic string is not correct",
+    ),
+    "wrong_dtype": (ARRAY_DAMAGES["wrong_dtype"], "base.npy is float64"),
+    "wrong_shape": (ARRAY_DAMAGES["wrong_shape"], "rows, expected 2(V+h) = "),
+    "no block1": (_without_block1, "rows, expected 2(V+h) = "),
+    "inf in block0": (_inf_in_block0, "cannot read base.npy (non-finite entries in block0)"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BASE_DAMAGES))
+def test_cli_damaged_base_is_one_error_line(built, tmp_path, capsys, damage):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    path = root / store.BASE_NAME
+    edit, detail = BASE_DAMAGES[damage]
+    edit(path, np.load(path))
+    assert main(["generate", str(root), docs[0][:6]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: catalog {root}: ")
+    assert detail in err
+
+
+@pytest.mark.parametrize(
+    "damage, detail",
+    [
+        (lambda path: path.unlink(), "No such file or directory"),
+        (lambda path: path.write_bytes(b"\xff" + path.read_bytes()), "'utf-8' codec can't decode"),
+        (lambda path: path.write_text(path.read_text() * 2), "duplicate symbols in vocab"),
+    ],
+    ids=["missing", "not utf-8", "repeated symbol"],
+)
+def test_cli_damaged_vocab_is_one_error_line(built, tmp_path, capsys, damage, detail):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    damage(root / store.VOCAB_NAME)
+    assert main(["generate", str(root), docs[0][:6]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: catalog {root}: cannot read vocab.txt (")
+    assert detail in err
 
 
 @pytest.mark.parametrize("damage", sorted(ARRAY_DAMAGES))
