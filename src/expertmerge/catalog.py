@@ -1,7 +1,7 @@
 """On-disk expert catalog: adapter serialization, manifest, checked loading
 of experts by id, and the timed route-load-merge.
 
-Catalog format 3. An adapter file is (little-endian throughout):
+Catalog format 4. An adapter file is (little-endian throughout):
 
     HEADER: magic "TTMM" | version u16 | base fingerprint (32 bytes)
             | d_out u32, d_in u32 of each model.TARGET_NAMES entry
@@ -10,12 +10,15 @@ Catalog format 3. An adapter file is (little-endian throughout):
       row-major (the theta layout)
     | checksum u64 (blake2b-64 of all preceding bytes)
 
-The manifest is a human-readable key/value text file; the centroids are
-centroids.npy beside it, and adapters live in an adapters/ subdirectory.
-The base model is vocab.txt and base.npy, one (2V+2h, h) float32 array of
-the rows of embed_table, block0, block1 and out_proj. Every .npy file of a
-catalog is read by read_array. An older catalog (format 2 kept the base in
-base.npz) must be rebuilt.
+The manifest holds each fact once: the header lines catalog_version: 4,
+embedder_fingerprint, base_fingerprint, num_experts and adapter_bytes (the
+byte size of every adapter file), then one "expert: <cluster size>
+<checksum hex>" line per expert, expert k the k-th. Expert k's adapter is
+adapters/expert_<k as 4 digits>.bin, a name derived from k
+(ExpertRecord.adapter_path). The centroids are centroids.npy. The base
+model is vocab.txt and base.npy, one (2V+2h, h) float32 array of the rows
+of embed_table, block0, block1 and out_proj. Every .npy file of a catalog
+is read by read_array. A catalog of format 1-3 must be rebuilt.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import re
 import struct
 import time
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,7 @@ from .merging import MergedAdapter, merge_adapters
 from .routing import RoutingConfig
 
 MAGIC = b"TTMM"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 HEADER = struct.Struct("<4sH32s" + "II" * len(lm.TARGET_NAMES) + "If")
 MANIFEST_NAME = "manifest.txt"
 CENTROIDS_NAME = "centroids.npy"
@@ -98,7 +101,7 @@ def load_adapter(
     blob = Path(path).read_bytes()
     if byte_size is not None and len(blob) != byte_size:
         raise ValueError(
-            f"adapter {path} is {len(blob)} bytes, its manifest byte_size is {byte_size}"
+            f"adapter {path} is {len(blob)} bytes, its manifest adapter_bytes is {byte_size}"
         )
     if len(blob) < HEADER.size + 8:
         raise ValueError(f"corrupt adapter: {path} (truncated)")
@@ -129,31 +132,22 @@ def load_adapter(
 class ExpertRecord:
     expert_id: int
     cluster_size: int
-    adapter_path: str  # relative to the catalog directory
     byte_size: int
     checksum: str  # hex of the trailing u64
+
+    @property
+    def adapter_path(self) -> str:
+        """The adapter file relative to the catalog root: the one place naming it."""
+        return f"{ADAPTER_DIR}/expert_{self.expert_id:04d}.bin"
 
 
 @dataclass
 class ExpertCatalog:
     root: Path
-    records: list[ExpertRecord]
+    records: list[ExpertRecord]  # records[k] is expert k
     centroids: np.ndarray  # (K, d) float32; row k is expert k's unit-norm centroid
     embedder_fingerprint: str
     base_fingerprint: bytes
-
-    def __post_init__(self) -> None:
-        ids = [r.expert_id for r in self.records]
-        if ids != list(range(len(ids))):
-            raise ValueError("expert ids must be dense in [0, K)")
-        for rec in self.records:
-            # a file directly in ADAPTER_DIR: no absolute path, other directory or ".."
-            folder, _, name = rec.adapter_path.partition("/")
-            if folder != ADAPTER_DIR or name in ("", ".", "..") or "/" in name:
-                raise ValueError(
-                    f"expert {rec.expert_id} adapter_path {rec.adapter_path!r} "
-                    f"is not {ADAPTER_DIR}/<name>"
-                )
 
     @property
     def K(self) -> int:
@@ -173,94 +167,82 @@ class LatencyReport:
 
 
 def save_manifest(catalog: ExpertCatalog) -> Path:
-    """Write the manifest and the centroids beside it; returns the manifest path."""
+    """Write the manifest and the centroids beside it; returns the manifest
+    path. Records of different byte sizes, which one adapter_bytes cannot
+    state, raise ValueError."""
+    sizes = sorted({rec.byte_size for rec in catalog.records})
+    if len(sizes) != 1:
+        raise ValueError(f"catalog {catalog.root}: adapter byte sizes {sizes} are not one size")
     np.save(catalog.root / CENTROIDS_NAME, catalog.centroids, allow_pickle=False)
     lines = [
         f"catalog_version: {FORMAT_VERSION}",
         f"embedder_fingerprint: {catalog.embedder_fingerprint}",
         f"base_fingerprint: {catalog.base_fingerprint.hex()}",
         f"num_experts: {catalog.K}",
-        "",
+        f"adapter_bytes: {sizes[0]}",
     ]
-    for rec in catalog.records:
-        lines.extend([f"{key}: {value}" for key, value in asdict(rec).items()] + [""])
+    lines += [f"expert: {rec.cluster_size} {rec.checksum}" for rec in catalog.records]
     path = catalog.root / MANIFEST_NAME
-    path.write_text("\n".join(lines), encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-HEADER_KEYS = ("catalog_version", "embedder_fingerprint", "base_fingerprint", "num_experts")
+HEADER_KEYS = ("embedder_fingerprint", "base_fingerprint", "num_experts", "adapter_bytes")
 CHECKSUM_HEX = re.compile(r"[0-9a-f]{16}")
 CENTROID_NORM_TOL = 1e-5
 
 
 def load_catalog(root: str | Path) -> ExpertCatalog:
-    """Read and check the manifest, every header and record key present and
-    every field parsed, and then centroids.npy, one finite float32 (K, d)
-    matrix of rows within CENTROID_NORM_TOL of unit norm. Any fault raises
-    ValueError naming the file."""
+    """Read and check the manifest (line 1 this format's catalog_version, each
+    other line a header key given once or a two-field expert line), then
+    centroids.npy, one finite float32 (K, d) matrix of rows within
+    CENTROID_NORM_TOL of unit norm. Any fault raises ValueError naming the file."""
     root = Path(root)
     path = root / MANIFEST_NAME
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
         raise ValueError(f"manifest {path}: cannot read it ({exc})") from exc
-    header: dict[str, str] = {}
-    fields: list[dict[str, str]] = []
-    current: dict[str, str] = {}
-
-    def flush() -> None:
-        if current:
-            fields.append(dict(current))
-            current.clear()
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            flush()
-            continue
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key == "expert_id":
-            flush()
-        if key in HEADER_KEYS:
-            header[key] = value
-        else:
-            current[key] = value
-    flush()
 
     def bad(problem: str) -> ValueError:
         return ValueError(f"manifest {path}: {problem}")
 
-    where = "header"
+    lines = text.splitlines() or [""]
+    key, _, version = lines[0].partition(": ")
+    if key != "catalog_version":
+        raise bad(f"line 1 is not catalog_version: <n> ({lines[0]!r})")
+    if version != str(FORMAT_VERSION):
+        raise bad(f"unsupported catalog version {version}")
+    header: dict[str, str] = {}
+    experts: list[list[str]] = []
+    for n, line in enumerate(lines[1:], 2):
+        key, sep, value = line.partition(": ")
+        if sep and key == "expert" and len(fields := value.split(" ")) == 2:
+            experts.append(fields)
+        elif sep and key in HEADER_KEYS and key not in header:
+            header[key] = value
+        else:
+            raise bad(
+                f"line {n} is not a header key given once or "
+                f"expert: <cluster size> <checksum> ({line!r})"
+            )
     try:
-        version = int(header["catalog_version"])
         num_experts = int(header["num_experts"])
+        adapter_bytes = int(header["adapter_bytes"])
         embedder_fingerprint = header["embedder_fingerprint"]
         base_fingerprint = bytes.fromhex(header["base_fingerprint"])
-        records = []
-        for i, rec in enumerate(fields):
-            where = f"record {i}"
-            records.append(
-                ExpertRecord(
-                    expert_id=int(rec["expert_id"]),
-                    cluster_size=int(rec["cluster_size"]),
-                    adapter_path=rec["adapter_path"],
-                    byte_size=int(rec["byte_size"]),
-                    checksum=rec["checksum"],
-                )
-            )
+        records = [
+            ExpertRecord(k, int(size), adapter_bytes, checksum)
+            for k, (size, checksum) in enumerate(experts)
+        ]
     except KeyError as exc:
-        raise bad(f"{where} has no {exc.args[0]}") from exc
+        raise bad(f"header has no {exc.args[0]}") from exc
     except ValueError as exc:
-        raise bad(f"{where} has an unparsable field ({exc})") from exc
-    if version != FORMAT_VERSION:
-        raise bad(f"unsupported catalog version {version}")
+        raise bad(f"unparsable field ({exc})") from exc
     if len(base_fingerprint) != 32:
         raise bad("base_fingerprint is not 32 bytes")
     if len(records) != num_experts:
-        raise bad(f"num_experts is {num_experts} but there are {len(records)} records")
+        raise bad(f"num_experts is {num_experts} but there are {len(records)} expert lines")
     if not records:
         raise bad("no experts")
     for rec in records:
@@ -275,16 +257,13 @@ def load_catalog(root: str | Path) -> ExpertCatalog:
         raise ValueError(
             f"catalog {root}: centroid {off[0]} in {CENTROIDS_NAME} has norm {norms[off[0]]}, not 1"
         )
-    try:
-        return ExpertCatalog(
-            root=root,
-            records=records,
-            centroids=centroids,
-            embedder_fingerprint=embedder_fingerprint,
-            base_fingerprint=base_fingerprint,
-        )
-    except ValueError as exc:
-        raise bad(str(exc)) from exc
+    return ExpertCatalog(
+        root=root,
+        records=records,
+        centroids=centroids,
+        embedder_fingerprint=embedder_fingerprint,
+        base_fingerprint=base_fingerprint,
+    )
 
 
 def save_base(base: lm.BaseParams, root: str | Path) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     for item in args.set or []:
         key, _, value = item.partition("=")
         if not value:
-            raise SystemExit(f"--set expects key=value, got {item!r}")
+            raise ValueError(f"--set expects key=value, got {item!r}")
         overrides[key] = parse_yaml(value, f"--set {item}")
     return cfg.with_overrides(overrides) if overrides else cfg
 
@@ -54,6 +55,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    method = re.fullmatch(r"base|merged|expert-(-?\d+)", args.method)
+    if not method:
+        raise ValueError(f"--method {args.method!r} is not base, merged or expert-<id>")
     cfg, cat, base = pipeline.open_catalog(args.catalog)
 
     if args.method == "base":
@@ -63,12 +67,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         merged, _ = store.timed_route_merge(cat, query, cfg.routing, base)
         adapted = merging.apply_merged(base, merged)
         text = lm.generate(adapted, None, args.prompt, args.n_tokens, args.seed)
-    elif args.method.startswith("expert-"):
-        k = int(args.method.split("-", 1)[1])
+    else:
+        k = int(method[1])
         adapter = store.load_active(cat, [k], base)[k]
         text = lm.generate(base, adapter, args.prompt, args.n_tokens, args.seed)
-    else:
-        raise SystemExit(f"unknown method {args.method!r}")
     print(text)
     return 0
 

@@ -17,7 +17,7 @@ from typing import Any
 
 import yaml
 
-from .corpus import CorpusConfig
+from .corpus import CorpusConfig, read_utf8
 from .embedding import EmbedderConfig
 from .model import TrainConfig
 from .routing import RoutingConfig
@@ -161,7 +161,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        data = parse_yaml(Path(path).read_text(encoding="utf-8"), str(path)) or {}
+        data = parse_yaml(read_utf8(Path(path)), str(path)) or {}
         if not isinstance(data, dict):
             raise ValueError(f"bad config: {path} holds a {type(data).__name__}, not a mapping")
         return cls.from_dict(data)

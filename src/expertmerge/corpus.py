@@ -65,17 +65,21 @@ def generate_corpus(cfg: CorpusConfig) -> tuple[list[str], np.ndarray, np.ndarra
     return docs, np.array(domains), np.array(modes)
 
 
+def read_utf8(path: Path) -> str:
+    """The text of a file; an unreadable or non-UTF-8 one raises ValueError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {path} ({exc})") from exc
+
+
 def read_corpus(path: str | Path) -> list[str]:
     """One document per line, or one per file under a directory."""
     path = Path(path)
     if path.is_dir():
-        docs = [
-            p.read_text(encoding="utf-8").rstrip("\n")
-            for p in sorted(path.iterdir())
-            if p.is_file()
-        ]
+        docs = [read_utf8(p).rstrip("\n") for p in sorted(path.iterdir()) if p.is_file()]
     else:
-        docs = path.read_text(encoding="utf-8").splitlines()
+        docs = read_utf8(path).splitlines()
     docs = [d for d in docs if d]
     if not docs:
         raise ValueError(f"no documents found at {path}")

@@ -254,9 +254,11 @@ def run_table1(
             ppls.append(lm.perplexity(base, adapter, [docs[i]], epl))
         perplexities["ttt"] = per_doc_mean(ppls)
 
-    # diagnostics: expert-cluster matrix on capped holdout, pass@N
-    capped = {k: split.holdout[k][:MAX_HOLDOUT_DOCS] for k in range(K)}
-    holdout_docs = {k: [docs[i] for i in capped[k]] or [docs[split.test[k]]] for k in range(K)}
+    # diagnostics: expert-cluster matrix and pass@N on each cluster's capped
+    # holdout, or on its test document when the holdout is empty
+    held = {k: split.holdout[k][:MAX_HOLDOUT_DOCS] for k in range(K)}
+    capped = {k: idx if idx.size else [split.test[k]] for k, idx in held.items()}
+    holdout_docs = {k: [docs[i] for i in idx] for k, idx in capped.items()}
     matrix = expert_cluster_matrix(base, all_adapters, holdout_docs, epl)
 
     samples = [(embeddings[i], k) for k, idx in capped.items() for i in idx]

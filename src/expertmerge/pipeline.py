@@ -86,17 +86,10 @@ def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
         adapter = lm.train_adapter(
             base, cluster_docs, expert_cfg, rank=cfg.lora_rank, alpha=cfg.lora_alpha
         )
-        rel_path = f"{store.ADAPTER_DIR}/expert_{k:04d}.bin"
-        byte_size, checksum = store.save_adapter(adapter, work / rel_path, fingerprint)
-        records.append(
-            store.ExpertRecord(
-                expert_id=k,
-                cluster_size=int(centroids.sizes[k]),
-                adapter_path=rel_path,
-                byte_size=byte_size,
-                checksum=checksum,
-            )
-        )
+        rec = store.ExpertRecord(k, int(centroids.sizes[k]), byte_size=0, checksum="")
+        path = work / rec.adapter_path
+        rec.byte_size, rec.checksum = store.save_adapter(adapter, path, fingerprint)
+        records.append(rec)
 
     cat = store.ExpertCatalog(
         root=work,

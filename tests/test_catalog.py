@@ -51,7 +51,7 @@ def test_file_is_header_then_flat_factors(tmp_path, adapter, fingerprint):
     path = tmp_path / "e.adapter"
     cat.save_adapter(adapter, path, fingerprint)
     blob = path.read_bytes()
-    assert blob[:4] == b"TTMM" and struct.unpack_from("<H", blob, 4) == (3,)
+    assert blob[:4] == b"TTMM" and struct.unpack_from("<H", blob, 4) == (4,)
     values = np.frombuffer(blob[cat.HEADER.size : -8], dtype="<f4")
     assert np.array_equal(values, adapter.theta)
 
@@ -139,14 +139,15 @@ def test_format_1_adapter_rejected(tmp_path, adapter, fingerprint):
 
 
 def test_format_2_adapter_rejected(tmp_path, adapter, fingerprint):
-    # a format-2 adapter has the format-3 layout under version 2
+    # format-2 and format-3 adapters have the format-4 layout under their version
     path = tmp_path / "e.adapter"
     cat.save_adapter(adapter, path, fingerprint)
-    payload = bytearray(path.read_bytes()[:-8])
-    struct.pack_into("<H", payload, len(cat.MAGIC), 2)
-    path.write_bytes(bytes(payload) + struct.pack("<Q", cat._checksum64(bytes(payload))))
-    with pytest.raises(ValueError, match="^unsupported adapter format version 2$"):
-        cat.load_adapter(path, fingerprint)
+    for version in (2, 3):
+        payload = bytearray(path.read_bytes()[:-8])
+        struct.pack_into("<H", payload, len(cat.MAGIC), version)
+        path.write_bytes(bytes(payload) + struct.pack("<Q", cat._checksum64(bytes(payload))))
+        with pytest.raises(ValueError, match=f"^unsupported adapter format version {version}$"):
+            cat.load_adapter(path, fingerprint)
 
 
 _u32 = st.integers(0, 2**32 - 1)
@@ -184,13 +185,9 @@ def build_catalog_dir(tmp_path, base, n_experts, docs):
     for k in range(n_experts):
         cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=100 + k)
         adapter = lm.train_adapter(base, docs, cfg, rank=2)
-        rel = f"{cat.ADAPTER_DIR}/expert_{k:03d}.adapter"
-        size, checksum = cat.save_adapter(adapter, root / rel, fp)
-        records.append(
-            cat.ExpertRecord(
-                expert_id=k, cluster_size=5 + k, adapter_path=rel, byte_size=size, checksum=checksum
-            )
-        )
+        rec = cat.ExpertRecord(k, cluster_size=5 + k, byte_size=0, checksum="")
+        rec.byte_size, rec.checksum = cat.save_adapter(adapter, root / rec.adapter_path, fp)
+        records.append(rec)
     c = rng.standard_normal((n_experts, 16))
     catalog = cat.ExpertCatalog(
         root=root,
@@ -209,11 +206,14 @@ def test_manifest_roundtrip(tmp_path, small_base):
     assert loaded.K == 4
     assert loaded.embedder_fingerprint == "emb-test"
     assert loaded.base_fingerprint == catalog.base_fingerprint
-    for orig, got in zip(catalog.records, loaded.records):
-        assert got.expert_id == orig.expert_id
-        assert got.cluster_size == orig.cluster_size
-        assert got.byte_size == orig.byte_size
-        assert got.checksum == orig.checksum
+    assert loaded.records == catalog.records
+    assert [rec.adapter_path for rec in loaded.records] == [
+        f"adapters/expert_{k:04d}.bin" for k in range(4)
+    ]
+    # five header lines, then one line per expert
+    lines = (catalog.root / cat.MANIFEST_NAME).read_text().splitlines()
+    assert len(lines) == 5 + 4
+    assert lines[5:] == [f"expert: {r.cluster_size} {r.checksum}" for r in catalog.records]
     # centroids round-trip bit-exactly through centroids.npy
     assert loaded.centroids.dtype == np.float32
     assert np.array_equal(loaded.centroids, catalog.centroids)
@@ -225,6 +225,19 @@ def _drop_line(key: str):
 
 def _set_field(key: str, value: str):
     return lambda text: re.sub(rf"^{key}: .*$", f"{key}: {value}", text, count=1, flags=re.M)
+
+
+def _sub(pattern: str, repl: str):
+    """The first line matching pattern, rewritten to repl."""
+    return lambda text: re.sub(pattern, repl, text, count=1, flags=re.M)
+
+
+def _not_one_line(n: int, line: str) -> str:
+    """The error of manifest line n (from 1) holding line."""
+    return re.escape(
+        f"line {n} is not a header key given once or "
+        f"expert: <cluster size> <checksum> ({line!r})"
+    )
 
 
 def _manifest(edit):
@@ -277,7 +290,38 @@ BAD_MANIFESTS = {
         _manifest(_drop_line("base_fingerprint")),
         "header has no base_fingerprint",
     ),
-    "no checksum": (_manifest(_drop_line("checksum")), "record 0 has no checksum"),
+    "no adapter_bytes": (_manifest(_drop_line("adapter_bytes")), "header has no adapter_bytes"),
+    "no catalog_version": (
+        _manifest(_drop_line("catalog_version")),
+        r"line 1 is not catalog_version: <n> \('embedder_fingerprint: emb-test'\)$",
+    ),
+    "empty manifest": (_manifest(lambda text: ""), r"line 1 is not catalog_version: <n> \(''\)$"),
+    "no checksum": (_manifest(_sub(r"^(expert: \d+) .*$", r"\1")), _not_one_line(6, "expert: 5")),
+    "expert line of 3 fields": (
+        _manifest(_sub(r"^expert: 5 (.*)$", r"expert: 5 \1 7")),
+        r"line 6 is not a header key given once .*'expert: 5 [0-9a-f]{16} 7'",
+    ),
+    "not key: value": (
+        _manifest(_sub(r"^(num_experts: .*)$", r"\1\nhello")),
+        _not_one_line(5, "hello"),
+    ),
+    "no space after colon": (
+        _manifest(_sub(r"^num_experts: ", "num_experts:")),
+        _not_one_line(4, "num_experts:4"),
+    ),
+    "blank line": (_manifest(lambda text: text + "\n"), _not_one_line(10, "")),
+    "repeated header key": (
+        _manifest(_sub(r"^(adapter_bytes: .*)$", r"\1\n\1")),
+        r"line 6 is not a header key given once .*'adapter_bytes: \d+'",
+    ),
+    "repeated catalog_version": (
+        _manifest(_sub(r"^(catalog_version: .*)$", r"\1\n\1")),
+        _not_one_line(2, "catalog_version: 4"),
+    ),
+    "unknown header key": (
+        _manifest(_sub(r"^(num_experts: .*)$", r"\1\nexpert_id: 0")),
+        _not_one_line(5, "expert_id: 0"),
+    ),
     "no centroid": ((cat.CENTROIDS_NAME, _no_centroids), "cannot read centroids.npy"),
     "nan centroid entry": (_centroids(lambda c: _with(c, (0, 0), np.nan)), "non-finite"),
     "inf centroid entry": (_centroids(lambda c: _with(c, (0, -1), np.inf)), "non-finite"),
@@ -288,30 +332,29 @@ BAD_MANIFESTS = {
         "centroid 0 in centroids.npy has norm",
     ),
     "centroid entry not a number": (_centroids(lambda c: c.astype(str)), "expected float32"),
-    "byte_size not an int": (_manifest(_set_field("byte_size", "12x")), "unparsable"),
-    "expert_id not an int": (_manifest(_set_field("expert_id", "one")), "unparsable"),
+    "adapter_bytes not an int": (
+        _manifest(_set_field("adapter_bytes", "12x")),
+        r"unparsable field \(invalid literal for int\(\) with base 10: '12x'\)",
+    ),
+    "cluster_size not an int": (
+        _manifest(_sub(r"^expert: 5 ", "expert: five ")),
+        r"unparsable field \(invalid literal for int\(\) with base 10: 'five'\)",
+    ),
     "num_experts not an int": (_manifest(_set_field("num_experts", "4.0")), "unparsable"),
     "base_fingerprint not hex": (_manifest(_set_field("base_fingerprint", "zz")), "unparsable"),
     "base_fingerprint short": (
         _manifest(_set_field("base_fingerprint", "ab" * 31)),
         "not 32 bytes",
     ),
-    "checksum not hex": (_manifest(_set_field("checksum", "x" * 16)), "not 16 hex digits"),
+    "checksum not hex": (
+        _manifest(_sub(r"^expert: 5 .*$", "expert: 5 " + "x" * 16)),
+        "expert 0 checksum 'x{16}' is not 16 hex digits",
+    ),
     "other catalog version": (
         _manifest(_set_field("catalog_version", "1")),
         "unsupported catalog version 1$",
     ),
     "count mismatch": (_manifest(_set_field("num_experts", "5")), "num_experts is 5"),
-    "ids not dense": (_manifest(_set_field("expert_id", "7")), "dense"),
-    # an adapter file outside the catalog's adapters/ directory
-    "adapter_path absolute": (
-        _manifest(_set_field("adapter_path", "/abs/outside.bin")),
-        r"expert 0 adapter_path '/abs/outside.bin' is not adapters/<name>",
-    ),
-    "adapter_path escapes": (
-        _manifest(_set_field("adapter_path", "../outside.bin")),
-        r"expert 0 adapter_path '\.\./outside.bin' is not adapters/<name>",
-    ),
 }
 
 
@@ -332,7 +375,7 @@ def test_format_1_catalog_rejected(tmp_path, small_base):
     catalog = build_catalog_dir(tmp_path, small_base, 2, ["abcd"])
     manifest = catalog.root / cat.MANIFEST_NAME
     text = _set_field("catalog_version", "1")(manifest.read_text())
-    manifest.write_text(re.sub(r"^(checksum: .*)$", r"\1\ncentroid: 1.0 0.0", text, flags=re.M))
+    manifest.write_text(re.sub(r"^(expert: .*)$", r"\1\ncentroid: 1.0 0.0", text, flags=re.M))
     (catalog.root / cat.CENTROIDS_NAME).unlink()
     with pytest.raises(ValueError, match=r"manifest.txt: unsupported catalog version 1$"):
         cat.load_catalog(catalog.root)
@@ -347,18 +390,41 @@ def test_format_2_catalog_rejected(tmp_path, small_base):
         cat.load_catalog(catalog.root)
 
 
-def test_catalog_dense_id_validation(tmp_path, small_base):
+def test_format_3_catalog_rejected(tmp_path, small_base):
+    # a format-3 manifest as the format-3 build wrote it: six lines per expert
     catalog = build_catalog_dir(tmp_path, small_base, 2, ["abcd"])
-    records = list(catalog.records)
-    records[1].expert_id = 5
-    with pytest.raises(ValueError, match="dense"):
-        cat.ExpertCatalog(
-            root=catalog.root,
-            records=records,
-            centroids=catalog.centroids,
-            embedder_fingerprint="x",
-            base_fingerprint=catalog.base_fingerprint,
-        )
+    (catalog.root / cat.MANIFEST_NAME).write_text(
+        "catalog_version: 3\n"
+        "embedder_fingerprint: 5f0c3e5a2c7d9b1e\n"
+        f"base_fingerprint: {'ab' * 32}\n"
+        "num_experts: 2\n"
+        "\n"
+        "expert_id: 0\n"
+        "cluster_size: 5\n"
+        "adapter_path: adapters/expert_0000.bin\n"
+        "byte_size: 1320\n"
+        "checksum: 0123456789abcdef\n"
+        "\n"
+        "expert_id: 1\n"
+        "cluster_size: 6\n"
+        "adapter_path: adapters/expert_0001.bin\n"
+        "byte_size: 1320\n"
+        "checksum: fedcba9876543210\n"
+    )
+    with pytest.raises(ValueError, match=r"manifest.txt: unsupported catalog version 3$"):
+        cat.load_catalog(catalog.root)
+
+
+def test_save_manifest_refuses_adapters_of_different_sizes(tmp_path, small_base):
+    # one adapter_bytes cannot state two sizes; nothing is written
+    catalog = build_catalog_dir(tmp_path, small_base, 3, ["abcd"])
+    before = {p.name: p.read_bytes() for p in catalog.root.iterdir() if p.is_file()}
+    size = catalog.records[0].byte_size
+    catalog.records[2].byte_size += 4
+    message = rf"catalog {re.escape(str(catalog.root))}: adapter byte sizes \[{size}, {size + 4}\]"
+    with pytest.raises(ValueError, match=message):
+        cat.save_manifest(catalog)
+    assert {p.name: p.read_bytes() for p in catalog.root.iterdir() if p.is_file()} == before
 
 
 def test_load_active_reads_only_support(tmp_path, small_base, monkeypatch):
@@ -386,7 +452,7 @@ def test_load_active_rejects_swapped_adapter_files(tmp_path, small_base):
     first.write_bytes(blob1)
     second.write_bytes(blob0)
     for k in (0, 1):
-        with pytest.raises(ValueError, match=rf"expert_00{k}\.adapter .*manifest checksum"):
+        with pytest.raises(ValueError, match=rf"expert_000{k}\.bin .*manifest checksum"):
             cat.load_active(catalog, [k])
         # the file itself is intact; only the manifest record tells them apart
         cat.load_adapter(catalog.adapter_file(k), catalog.base_fingerprint)

@@ -71,6 +71,8 @@ def test_build_outputs(built):
     assert (root / pipeline.ASSIGNMENT_NAME).exists()
     for rec in result.catalog.records:
         assert (root / rec.adapter_path).stat().st_size == rec.byte_size
+    # five header lines, then one line per expert
+    assert len((root / "manifest.txt").read_text().splitlines()) == 5 + cfg.n_clusters
 
 
 def test_build_deterministic(tiny_corpus, tmp_path):
@@ -156,6 +158,30 @@ def test_run_table1_reads_each_adapter_once(built, monkeypatch):
     )
     assert list(report.perplexities) == list(evaluation.DEFAULT_METHODS)
     assert reads.calls == cfg.n_clusters
+
+
+def test_run_table1_without_holdout(tiny_corpus, tmp_path):
+    # holdout_fraction 0 holds out only the test documents, which the
+    # routing diagnostics then read
+    docs, _, cfg = tiny_corpus
+    cfg = dataclasses.replace(
+        cfg, protocol=dataclasses.replace(cfg.protocol, holdout_fraction=0.0)
+    )
+    result = pipeline.build_catalog(docs, cfg, tmp_path / "cat")
+    assert all(held.size == 0 for held in result.split.holdout.values())
+    report = evaluation.run_table1(
+        docs,
+        result.embeddings,
+        result.assignment,
+        result.split,
+        result.base,
+        result.catalog,
+        cfg,
+        methods=("base",),
+    )
+    assert report.pass_at_n[-1] == (cfg.n_clusters, 1.0)
+    assert all(0.0 <= acc <= 1.0 for _, acc in report.pass_at_n)
+    assert np.isfinite(report.matrix).all()
 
 
 @pytest.mark.parametrize(
@@ -282,6 +308,74 @@ def test_cli_damaged_catalog_config_is_one_error_line(built, tmp_path, capsys):
     assert err.startswith(f"error: bad config: {root / 'config.yaml'} is not valid YAML (")
 
 
+def test_cli_damaged_catalog_config_not_utf8_is_one_error_line(built, tmp_path, capsys):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    path = root / "config.yaml"
+    path.write_bytes(b"\xff" + path.read_bytes())
+    assert main(["generate", str(root), docs[0][:6]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {path} ('utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte)\n"
+    )
+
+
+@pytest.mark.parametrize("case", ["corpus file", "corpus directory", "config"])
+def test_cli_file_not_utf8_is_one_error_line(tiny_corpus, tmp_path, capsys, case):
+    docs, corpus_path, _ = tiny_corpus
+    argv = ["build", str(corpus_path), str(tmp_path / "cat")]
+    if case == "corpus file":
+        bad = tmp_path / "corpus.txt"
+        argv[1] = str(bad)
+    elif case == "corpus directory":
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.txt").write_text(docs[0])
+        bad = tmp_path / "docs" / "b.txt"
+        argv[1] = str(tmp_path / "docs")
+    else:
+        bad = tmp_path / "run.yaml"
+        argv += ["--config", str(bad)]
+    bad.write_bytes(b"abc\xffdef\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad} ('utf-8' codec can't decode byte 0xff in position 3: "
+        "invalid start byte)\n"
+    )
+    assert not (tmp_path / "cat").exists()
+
+
+def test_cli_config_that_is_a_directory_is_one_error_line(tiny_corpus, tmp_path, capsys):
+    _, corpus_path, _ = tiny_corpus
+    assert main(["build", str(corpus_path), str(tmp_path / "cat"), "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot read {tmp_path} ([Errno 21] Is a directory: '{tmp_path}')\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cluster-report", "{corpus}", "--set", "seed"], "--set expects key=value, got 'seed'"),
+        (
+            ["generate", "{catalog}", "ab", "--method", "bogus"],
+            "--method 'bogus' is not base, merged or expert-<id>",
+        ),
+        (
+            ["generate", "{catalog}", "ab", "--method", "expert-x"],
+            "--method 'expert-x' is not base, merged or expert-<id>",
+        ),
+    ],
+    ids=["--set seed", "--method bogus", "--method expert-x"],
+)
+def test_cli_usage_fault_is_one_error_line(built, tiny_corpus, capsys, argv, message):
+    result, _, _ = built
+    _, corpus_path, _ = tiny_corpus
+    paths = {"corpus": corpus_path, "catalog": result.catalog.root}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_generate(tiny_corpus, tmp_path, capsys):
     docs, corpus_path, cfg = tiny_corpus
     cat_dir = tmp_path / "cat"
@@ -316,24 +410,25 @@ def test_cli_generate_rejects_unknown_expert_id(built, capsys, method):
 
 
 def test_manifest_byte_size_checked(built, tmp_path, capsys):
+    # the one adapter_bytes is every expert's byte_size, checked at each load
     result, docs, _ = built
     root = tmp_path / "cat"
     shutil.copytree(result.catalog.root, root)
     manifest = root / store.MANIFEST_NAME
     size = result.catalog.records[0].byte_size
     manifest.write_text(
-        manifest.read_text().replace(f"byte_size: {size}\n", f"byte_size: {size + 1}\n", 1)
+        manifest.read_text().replace(f"adapter_bytes: {size}\n", f"adapter_bytes: {size + 1}\n")
     )
     catalog = store.load_catalog(root)
-    assert catalog.records[0].byte_size == size + 1
-    message = rf"expert_0000\.bin is {size} bytes, its manifest byte_size is {size + 1}"
-    with pytest.raises(ValueError, match=message):
-        store.load_active(catalog, [0])
-    store.load_active(catalog, [1])
+    assert {rec.byte_size for rec in catalog.records} == {size + 1}
     prompt = docs[0][:6]
-    assert main(["generate", str(root), prompt, "--method", "expert-0"]) == 1
-    assert re.search(message, capsys.readouterr().err)
-    assert main(["generate", str(root), prompt, "--method", "expert-1"]) == 0
+    for k in (0, 1):
+        message = rf"expert_000{k}\.bin is {size} bytes, its manifest adapter_bytes is {size + 1}"
+        with pytest.raises(ValueError, match=message):
+            store.load_active(catalog, [k])
+        assert main(["generate", str(root), prompt, "--method", f"expert-{k}"]) == 1
+        assert re.search(message, capsys.readouterr().err)
+    assert main(["generate", str(root), prompt, "--method", "base"]) == 0
 
 
 def test_cli_generate_rejects_other_base(built, tmp_path, capsys):
@@ -349,25 +444,28 @@ def test_cli_generate_rejects_other_base(built, tmp_path, capsys):
 
 
 def test_adapter_of_another_hidden_size_is_rejected_at_load(built, tiny_corpus, tmp_path, capsys):
-    # expert 0's file is replaced by an adapter of another hidden size that
-    # carries the catalog's base fingerprint, with its manifest record updated
+    # expert 0's file is replaced by an adapter of other shapes (block0 is
+    # (h+1, h-1)) and so of the same byte count, that carries the catalog's
+    # base fingerprint, with its manifest record updated
     result, docs, cfg = built
     _, corpus_path, _ = tiny_corpus
     root = tmp_path / "cat"
     shutil.copytree(result.catalog.root, root)
     catalog = store.load_catalog(root)
     base = store.load_base(root)
-    other = lm.BaseParams.init_random(base.vocab, hidden=cfg.hidden + 3, seed=0)
     path = catalog.adapter_file(0)
-    wrong = lm.LoraAdapter.init(other, rank=cfg.lora_rank, alpha=cfg.lora_alpha)
+    h = cfg.hidden
+    right = store.load_adapter(path)
+    shapes = ((h + 1, h - 1),) + right.shapes[1:]
+    wrong = lm.LoraAdapter(right.theta, shapes, right.rank, right.alpha)
     record = catalog.records[0]
     record.byte_size, record.checksum = store.save_adapter(wrong, path, catalog.base_fingerprint)
+    assert record.byte_size == catalog.records[1].byte_size
     store.save_manifest(catalog)
     catalog = store.load_catalog(root)
     store.load_active(catalog, [0])  # the file itself is sound
-    h, wrong_h = cfg.hidden, cfg.hidden + 3
     message = (
-        f"adapter {path} of expert 0: block0 is ({wrong_h}, {wrong_h}), "
+        f"adapter {path} of expert 0: block0 is ({h + 1}, {h - 1}), "
         f"the base's block0 is ({h}, {h})"
     )
     with pytest.raises(ValueError, match=re.escape(message)):
