@@ -58,6 +58,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     method = re.fullmatch(r"base|merged|expert-(-?\d+)", args.method)
     if not method:
         raise ValueError(f"--method {args.method!r} is not base, merged or expert-<id>")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     cfg, cat, base = pipeline.open_catalog(args.catalog)
 
     if args.method == "base":
@@ -76,10 +78,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_report(args: argparse.Namespace) -> int:
+    try:
+        k_list = [int(k) for k in args.k_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--k-list {args.k_list!r} is not comma-separated integers") from None
     cfg = _load_config(args)
     docs = read_corpus(args.corpus)
     embs = embedding.embed_corpus(cfg.embedder, docs)
-    k_list = [int(k) for k in args.k_list.split(",")]
     curve = clustering.elbow_curve(embs, k_list, cfg.seed)
     print("K,loss")
     for k, loss, _ in curve:

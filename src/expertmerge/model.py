@@ -10,6 +10,7 @@ reproducible and finite-difference checks are tight.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -25,6 +26,8 @@ EOS = "\x03"
 TARGET_NAMES = ("block0", "block1", "out_proj")
 # the dense weights of one model, in the order BaseParams stores them
 DENSE_NAMES = ("embed_table",) + TARGET_NAMES
+# uniforms generate draws at a time (8 KB): never n_tokens, which may be huge
+SAMPLE_BLOCK = 1024
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -242,14 +245,15 @@ def _effective_weights(
 
 
 def _position_logits(
-    weights: dict[str, np.ndarray], tokens: np.ndarray
+    weights: dict[str, np.ndarray], tokens: np.ndarray | None
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Next-token logits for each input token plus cached activations.
+    """Next-token logits for each input token (None: every token, in id
+    order) plus cached activations.
 
     Each row depends on its own input token only, so the model is a
     bigram model: the V rows of all tokens describe it completely.
     """
-    x = weights["embed_table"][tokens]  # (n, h)
+    x = weights["embed_table"] if tokens is None else weights["embed_table"][tokens]  # (n, h)
     h1 = np.tanh(x @ weights["block0"].T)
     h2 = np.tanh(h1 @ weights["block1"].T)
     logits = h2 @ weights["out_proj"].T  # (n, V)
@@ -257,15 +261,16 @@ def _position_logits(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
+    # one temporary: exp and the divide run in place on the shifted logits
     z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _prob_table(base: BaseParams, adapter: LoraAdapter | None) -> np.ndarray:
     """(V, V) next-token distribution: row i follows input token i."""
-    weights = _effective_weights(base, adapter)
-    logits, _ = _position_logits(weights, np.arange(base.vocab.size))
+    logits, _ = _position_logits(_effective_weights(base, adapter), None)
     return _softmax(logits)
 
 
@@ -473,19 +478,34 @@ def generate(
     n_tokens: int,
     seed: int,
 ) -> str:
-    """Ancestral sampling continuation; stops early at EOS."""
+    """Ancestral sampling continuation; stops early at EOS.
+
+    Each token is the draw rng.choice(V, p=row / row.sum()) makes on the
+    seeded stream: one uniform u, then the first index whose entry of the
+    row's CDF, normalised by its last entry, exceeds u. The CDFs are built
+    once per call. Uniforms come SAMPLE_BLOCK at a time, which is the same
+    stream as one rng.random() per token (draws past EOS are never read).
+    A row becomes a list the first time the chain reaches it, and
+    bisect_right on it is cdf[token].searchsorted(u, side="right").
+    """
     if n_tokens < 0:
         raise ValueError("n_tokens must be >= 0")
     rng = np.random.default_rng(seed)
     table = _prob_table(base, adapter)
-    # rng.choice(V, p=row / row.sum())'s own draw, from CDFs built once per call
-    cdf = np.cumsum(table / table.sum(axis=1, keepdims=True), axis=1)
+    table /= table.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(table, axis=1)
     cdf /= cdf[:, -1:]
+    rows: list[list[float] | None] = [None] * len(cdf)
+    symbols = base.vocab.symbols
     token = int(np.append(0, base.vocab.encode(prompt))[-1])  # BOS if empty
-    out = prompt
-    for _ in range(n_tokens):
-        token = int(cdf[token].searchsorted(rng.random(), side="right"))
-        if token == 1:  # EOS
-            break
-        out += base.vocab.symbols[token]
-    return out
+    out = [prompt]
+    for start in range(0, n_tokens, SAMPLE_BLOCK):
+        for u in rng.random(min(SAMPLE_BLOCK, n_tokens - start)).tolist():
+            row = rows[token]
+            if row is None:
+                row = rows[token] = cdf[token].tolist()
+            token = bisect.bisect_right(row, u)
+            if token == 1:  # EOS
+                return "".join(out)
+            out.append(symbols[token])
+    return "".join(out)

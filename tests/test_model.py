@@ -577,6 +577,36 @@ def rel_err(got, ref) -> float:
     return float(np.linalg.norm(np.asarray(got) - ref) / np.linalg.norm(ref))
 
 
+def reference_prob_table(base, adapter):
+    """The V x V table computed plainly: a gather of every embedding row, then
+    a softmax with a temporary for the shift, the exp and the quotient."""
+    weights = {n: getattr(base, n).astype(np.float64) for n in lm.DENSE_NAMES}
+    if adapter is not None:
+        for name in lm.TARGET_NAMES:
+            weights[name] = weights[name] + adapter.delta(name)
+    x = weights["embed_table"][np.arange(base.vocab.size)]
+    h1 = np.tanh(x @ weights["block0"].T)
+    h2 = np.tanh(h1 @ weights["block1"].T)
+    logits = h2 @ weights["out_proj"].T
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_prob_table_is_bitwise_reference(seed):
+    # a small random model, and one near the default size (45-50 symbols, hidden 64)
+    vocab = lm.Vocab.from_corpus([string.ascii_letters[: 48 - seed]])
+    large = lm.BaseParams.init_random(vocab, hidden=64, seed=seed, scale=0.1 + 0.3 * seed)
+    adapter = lm.LoraAdapter.init(large, rank=8, seed=seed)
+    rng = np.random.default_rng(seed)
+    adapter = dataclasses.replace(adapter, theta=rng.standard_normal(adapter.theta.size) * 0.2)
+    for base, model_adapter in (random_model(seed)[:2], (large, adapter)):
+        for maybe in (None, model_adapter):
+            want = reference_prob_table(base, maybe)
+            assert lm._prob_table(base, maybe).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("eval_prefix_len", [0, 3])
 def test_perplexity_matches_per_token_reference(seed, eval_prefix_len):
@@ -677,8 +707,16 @@ def test_generate_matches_per_token_reference(seed):
                 assert got == expected
 
 
+def one_hot_model(vocab: lm.Vocab, out: np.ndarray) -> lm.BaseParams:
+    """A one-hot hidden state per token, so out's column t (times ~0.995) is
+    the logits of row t."""
+    eye = np.eye(vocab.size, dtype=np.float32)
+    return lm.BaseParams(
+        vocab=vocab, embed_table=3 * eye, block0=3 * eye, block1=3 * eye, out_proj=out
+    )
+
+
 def test_generate_matches_reference_on_peaked_rows():
-    # a one-hot hidden state per token, so out_proj's column t is row t's logits:
     # 'a' is followed by 'b' up to ~1e-13, 'b' draws from a spread row, and
     # EOS is the likeliest successor of 'c'
     vocab = lm.Vocab.from_corpus(["abcd"])
@@ -689,10 +727,7 @@ def test_generate_matches_reference_on_peaked_rows():
     out[b, a] = 30.0
     out[:, c] = 0.0
     out[1, c] = 2.0
-    eye = np.eye(v, dtype=np.float32)
-    base = lm.BaseParams(
-        vocab=vocab, embed_table=3 * eye, block0=3 * eye, block1=3 * eye, out_proj=out
-    )
+    base = one_hot_model(vocab, out)
     assert 1 - 1e-12 < lm.forward(base, None, "a")[b] < 1
     assert lm.forward(base, None, "c").argmax() == 1
     stopped = 0
@@ -703,6 +738,33 @@ def test_generate_matches_reference_on_peaked_rows():
                 assert text == reference_generate(base, None, prompt, n_tokens, seed)
                 stopped += n_tokens == 200 and len(text) < len(prompt) + n_tokens
     assert stopped > 0  # some runs of 200 tokens end early at EOS
+
+
+@pytest.mark.parametrize("n_tokens", [lm.SAMPLE_BLOCK - 1, lm.SAMPLE_BLOCK, lm.SAMPLE_BLOCK + 1])
+def test_generate_matches_reference_at_and_past_a_block(n_tokens):
+    # EOS's logit is ~40 below every other symbol's, so each run draws all
+    # n_tokens uniforms, from one block or two
+    vocab = lm.Vocab.from_corpus(["abcd"])
+    out = np.random.default_rng(n_tokens).standard_normal((vocab.size, vocab.size))
+    out[1] = -40.0
+    base = one_hot_model(vocab, out)
+    for seed in range(2):
+        text = lm.generate(base, None, "a", n_tokens, seed)
+        assert len(text) == 1 + n_tokens
+        assert text == reference_generate(base, None, "a", n_tokens, seed)
+
+
+def test_generate_with_a_huge_budget_stops_at_eos():
+    # EOS is the likeliest successor of every symbol: the run stops within a
+    # few tokens, and a budget of 10**12 uniforms is never drawn at once
+    vocab = lm.Vocab.from_corpus(["abcd"])
+    out = np.random.default_rng(0).standard_normal((vocab.size, vocab.size))
+    out[1] = 6.0
+    base = one_hot_model(vocab, out)
+    for seed in range(5):
+        text = lm.generate(base, None, "ab", 10**12, seed)
+        assert len(text) < 12
+        assert text == reference_generate(base, None, "ab", 10**12, seed)
 
 
 def test_generate_matches_reference_on_many_models():

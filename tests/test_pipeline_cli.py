@@ -365,8 +365,24 @@ def test_cli_config_that_is_a_directory_is_one_error_line(tiny_corpus, tmp_path,
             ["generate", "{catalog}", "ab", "--method", "expert-x"],
             "--method 'expert-x' is not base, merged or expert-<id>",
         ),
+        (["generate", "{catalog}", "ab", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (
+            ["cluster-report", "{corpus}", "--k-list", "a,b"],
+            "--k-list 'a,b' is not comma-separated integers",
+        ),
+        (
+            ["cluster-report", "{corpus}", "--k-list", ""],
+            "--k-list '' is not comma-separated integers",
+        ),
     ],
-    ids=["--set seed", "--method bogus", "--method expert-x"],
+    ids=[
+        "--set seed",
+        "--method bogus",
+        "--method expert-x",
+        "--seed -1",
+        "--k-list a,b",
+        "--k-list empty",
+    ],
 )
 def test_cli_usage_fault_is_one_error_line(built, tiny_corpus, capsys, argv, message):
     result, _, _ = built
