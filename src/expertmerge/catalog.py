@@ -97,8 +97,12 @@ def load_adapter(
     """Read an adapter and verify its checksum and that its length matches
     its header's shapes; if given, also verify the base fingerprint and that
     the file matches its manifest record: its checksum equals `checksum`
-    (hex) and its length equals `byte_size`."""
-    blob = Path(path).read_bytes()
+    (hex) and its length equals `byte_size`. A missing or unreadable file
+    raises one ValueError naming it."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"adapter {path}: cannot read it ({exc})") from exc
     if byte_size is not None and len(blob) != byte_size:
         raise ValueError(
             f"adapter {path} is {len(blob)} bytes, its manifest adapter_bytes is {byte_size}"
@@ -304,8 +308,6 @@ def load_active(
         if not 0 <= k < catalog.K:
             raise ValueError(f"expert id {k} is not in 0..{catalog.K - 1}")
         path = catalog.adapter_file(k)
-        if not path.exists():
-            raise FileNotFoundError(f"adapter file missing for expert {k}: {path}")
         record = catalog.records[k]
         adapters[k] = load_adapter(
             path, catalog.base_fingerprint, record.checksum, record.byte_size

@@ -27,12 +27,12 @@ class HoldoutSplit:
 
 
 def split_holdout(
-    n_docs: int, assignment: ClusterAssignment, protocol: EvalProtocol
+    n_docs: int, assignment: ClusterAssignment, protocol: EvalProtocol, seed: int
 ) -> HoldoutSplit:
     """Deterministic seeded split; exactly one test doc per cluster."""
     if n_docs != len(assignment.labels):
         raise ValueError("assignment does not cover the corpus")
-    rng = np.random.default_rng(protocol.seed)
+    rng = np.random.default_rng(seed)
     train: list[int] = []
     holdout: dict[int, np.ndarray] = {}
     test: dict[int, int] = {}
@@ -53,10 +53,15 @@ def split_holdout(
 
 
 def global_finetune(
-    base: lm.BaseParams, train_docs: list[str], cfg: lm.TrainConfig, rank: int, alpha: float
+    base: lm.BaseParams,
+    train_docs: list[str],
+    cfg: lm.TrainConfig,
+    seed: int,
+    rank: int,
+    alpha: float,
 ) -> lm.LoraAdapter:
     """One adapter trained on the whole training corpus."""
-    return lm.train_adapter(base, train_docs, cfg, rank=rank, alpha=alpha)
+    return lm.train_adapter(base, train_docs, cfg, seed, rank=rank, alpha=alpha)
 
 
 def ttt_adapt(
@@ -65,20 +70,21 @@ def ttt_adapt(
     corpus_embeddings: np.ndarray,
     corpus_docs: list[str],
     N: int,
-    cfg: lm.TrainConfig,
+    learning_rate: float,
+    seed: int,
     rank: int,
     alpha: float,
 ) -> lm.LoraAdapter:
     """Adapt to a prompt: one gradient step per nearest neighbor, visited
-    once from most to least similar."""
+    once from most to least similar, from the adapter init of seed."""
     if N > len(corpus_docs):
         raise ValueError(f"N={N} exceeds corpus size {len(corpus_docs)}")
     sims = corpus_embeddings.astype(np.float64) @ np.asarray(query, dtype=np.float64)
     neighbors = routing.top_n(sims, N)
-    keys = [lm._pair_keys(base.vocab, corpus_docs[i], cfg.max_seq_len) for i in neighbors]
+    keys = [lm._pair_keys(base.vocab, corpus_docs[i], lm.MAX_SEQ_LEN) for i in neighbors]
 
-    init = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
-    return lm.fit_adapter(base, init, ([k] for k in keys), cfg)
+    init = lm.LoraAdapter.init(base, rank=rank, alpha=alpha, seed=seed)
+    return lm.fit_adapter(base, init, ([k] for k in keys), learning_rate)
 
 
 def expert_cluster_matrix(
@@ -209,7 +215,7 @@ def run_table1(
 
     if "finetune" in methods:
         ft = global_finetune(
-            base, train_docs, cfg.expert_train, cfg.lora_rank, cfg.lora_alpha
+            base, train_docs, cfg.expert_train, cfg.seed, cfg.lora_rank, cfg.lora_alpha
         )
         perplexities["finetune"] = lm.perplexity(base, ft, test_docs, epl)
 
@@ -236,9 +242,6 @@ def run_table1(
 
     if "ttt" in methods:
         train_embs = embeddings[split.train_idx]
-        ttt_cfg = dataclasses.replace(
-            cfg.expert_train, learning_rate=cfg.ttt_learning_rate, batch_size=1, epochs=1
-        )
         ppls = []
         for (k, i), query in zip(test_pairs, queries):
             adapter = ttt_adapt(
@@ -247,7 +250,8 @@ def run_table1(
                 train_embs,
                 train_docs,
                 min(cfg.ttt_neighbors, len(train_docs)),
-                ttt_cfg,
+                cfg.ttt_learning_rate,
+                cfg.seed,
                 cfg.lora_rank,
                 cfg.lora_alpha,
             )

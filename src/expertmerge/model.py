@@ -194,34 +194,28 @@ class LoraAdapter:
         return LoraAdapter(np.concatenate(theta), shapes, rank, alpha)
 
 
+# The published reference recipe for every trained model: AdamW (Loshchilov &
+# Hutter, arXiv 1711.05101) in shuffled batches of 4; TTT steps once a neighbour.
+# TrainConfig defaults to its lr and one epoch; the desk pipeline overrides both
+BATCH_SIZE = 4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+# characters of a document that training reads; no default document is this long
+MAX_SEQ_LEN = 256
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    # published reference hyperparameters: lr 2e-4, batch 4, betas
-    # (0.9, 0.999), eps 1e-8, weight decay 0.01, one epoch; the desk
-    # pipeline overrides lr/epochs for the tiny model (see config.py)
     learning_rate: float = 2e-4
-    batch_size: int = 4
     epochs: int = 1
-    max_seq_len: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be >= 0 and finite, got {self.learning_rate}")
-        for name in ("epochs", "batch_size", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def check_fits(base: BaseParams, adapter: LoraAdapter, label: str = "adapter") -> None:
@@ -364,42 +358,41 @@ def nll_and_grad(
 class _AdamW:
     """AdamW over one float64 vector; t counts the steps taken."""
 
-    def __init__(self, theta: np.ndarray, cfg: TrainConfig) -> None:
-        self.cfg = cfg
+    def __init__(self, theta: np.ndarray, learning_rate: float) -> None:
+        self.learning_rate = learning_rate
         self.m = np.zeros_like(theta)
         self.v = np.zeros_like(theta)
         self.t = 0
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        cfg = self.cfg
         self.t += 1
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.m = b1 * self.m + (1 - b1) * grad
         self.v = b2 * self.v + (1 - b2) * grad * grad
         m_hat = self.m / (1 - b1**self.t)
         v_hat = self.v / (1 - b2**self.t)
-        theta -= cfg.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * theta
+        theta -= self.learning_rate * (
+            m_hat / (np.sqrt(v_hat) + ADAM_EPS) + WEIGHT_DECAY * theta
         )
 
 
-def _minibatches(keys: list[np.ndarray], cfg: TrainConfig) -> Iterator[list[np.ndarray]]:
-    """cfg.epochs passes over keys in seeded shuffled batches of cfg.batch_size."""
-    rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
+def _minibatches(keys: list[np.ndarray], epochs: int, seed: int) -> Iterator[list[np.ndarray]]:
+    """epochs passes over keys in seeded shuffled batches of BATCH_SIZE."""
+    rng = np.random.default_rng(seed)
+    for _ in range(epochs):
         order = rng.permutation(len(keys))
-        for start in range(0, len(keys), cfg.batch_size):
-            yield [keys[i] for i in order[start : start + cfg.batch_size]]
+        for start in range(0, len(keys), BATCH_SIZE):
+            yield [keys[i] for i in order[start : start + BATCH_SIZE]]
 
 
 def _fit(
     theta: np.ndarray,
     batches: Iterable[list[np.ndarray]],
     loss_and_grad: Callable[[list[np.ndarray]], tuple[float, np.ndarray]],
-    cfg: TrainConfig,
+    learning_rate: float,
 ) -> None:
     """One AdamW step per batch on theta, in place; stops on a non-finite loss."""
-    opt = _AdamW(theta, cfg)
+    opt = _AdamW(theta, learning_rate)
     for batch in batches:
         loss, grad = loss_and_grad(batch)
         if not np.isfinite(loss):
@@ -408,7 +401,7 @@ def _fit(
 
 
 def fit_adapter(
-    base: BaseParams, init: LoraAdapter, batches: Iterable[list[np.ndarray]], cfg: TrainConfig
+    base: BaseParams, init: LoraAdapter, batches: Iterable[list[np.ndarray]], learning_rate: float
 ) -> LoraAdapter:
     """Train init's factors with one AdamW step per batch of _pair_keys. Each
     gradient is taken at the float32-rounded factors that the result stores."""
@@ -422,7 +415,7 @@ def fit_adapter(
         rounded[:] = theta.astype(np.float32)
         return nll_and_grad(dense, factors, init.scale, batch)
 
-    _fit(theta, batches, loss_and_grad, cfg)
+    _fit(theta, batches, loss_and_grad, learning_rate)
     return LoraAdapter(theta, init.shapes, init.rank, init.alpha)
 
 
@@ -430,24 +423,25 @@ def train_adapter(
     base: BaseParams,
     docs: list[str],
     cfg: TrainConfig,
+    seed: int,
     rank: int = 8,
     alpha: float = 16.0,
 ) -> LoraAdapter:
-    """Train a fresh adapter with AdamW over shuffled seeded minibatches."""
+    """Train a fresh adapter with AdamW; seed sets its init and the batch shuffle."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    init = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=cfg.seed)
-    keys = [_pair_keys(base.vocab, doc, cfg.max_seq_len) for doc in docs]
-    return fit_adapter(base, init, _minibatches(keys, cfg), cfg)
+    init = LoraAdapter.init(base, rank=rank, alpha=alpha, seed=seed)
+    keys = [_pair_keys(base.vocab, doc, MAX_SEQ_LEN) for doc in docs]
+    return fit_adapter(base, init, _minibatches(keys, cfg.epochs, seed), cfg.learning_rate)
 
 
 def train_base(
-    vocab: Vocab, docs: list[str], cfg: TrainConfig, hidden: int = 64
+    vocab: Vocab, docs: list[str], cfg: TrainConfig, seed: int, hidden: int = 64
 ) -> BaseParams:
-    """Full-parameter pre-training of a base model with AdamW."""
+    """Full-parameter pre-training with AdamW; seed sets the init and the batch shuffle."""
     if not docs:
         raise ValueError("docs must be non-empty")
-    init = [getattr(BaseParams.init_random(vocab, hidden, cfg.seed), n) for n in DENSE_NAMES]
+    init = [getattr(BaseParams.init_random(vocab, hidden, seed), n) for n in DENSE_NAMES]
     theta = _ravel(init)
     weights = dict(zip(DENSE_NAMES, _unravel(theta, init)))  # views of theta
 
@@ -455,8 +449,8 @@ def train_base(
         nll, grads = _backward(weights, _pair_counts(vocab.size, batch), embed=True)
         return nll, _ravel(grads[n] for n in DENSE_NAMES)
 
-    keys = [_pair_keys(vocab, doc, cfg.max_seq_len) for doc in docs]
-    _fit(theta, _minibatches(keys, cfg), loss_and_grad, cfg)
+    keys = [_pair_keys(vocab, doc, MAX_SEQ_LEN) for doc in docs]
+    _fit(theta, _minibatches(keys, cfg.epochs, seed), loss_and_grad, cfg.learning_rate)
     return BaseParams(vocab=vocab, **weights)
 
 

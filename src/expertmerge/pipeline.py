@@ -8,7 +8,6 @@ digest, so evaluation reloads them instead of embedding the corpus again.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import shutil
@@ -64,7 +63,7 @@ def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
     (work / store.ADAPTER_DIR).mkdir(parents=True)
     embeddings = embedding.embed_corpus(cfg.embedder, docs)
     assignment = clustering.bisecting_kmeans(embeddings, cfg.n_clusters, cfg.seed)
-    split = split_holdout(len(docs), assignment, cfg.protocol)
+    split = split_holdout(len(docs), assignment, cfg.protocol, cfg.seed)
 
     vocab = lm.Vocab.from_corpus(docs)
     train_docs = [docs[i] for i in split.train_idx]
@@ -72,7 +71,7 @@ def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
     n_pre = max(1, int(round(cfg.base_pretrain_fraction * len(train_docs))))
     pre_idx = rng.choice(len(train_docs), size=n_pre, replace=False)
     base = lm.train_base(
-        vocab, [train_docs[i] for i in sorted(pre_idx)], cfg.base_train, cfg.hidden
+        vocab, [train_docs[i] for i in sorted(pre_idx)], cfg.base_train, cfg.seed, cfg.hidden
     )
     fingerprint = base.fingerprint()
     store.save_base(base, work)
@@ -82,9 +81,9 @@ def _build_into(work: Path, docs: list[str], cfg: RunConfig) -> BuildResult:
     centroids = clustering.compute_centroids(embeddings[split.train_idx], train_assignment)
     for k in range(assignment.K):
         cluster_docs = [docs[i] for i in split.train_idx[train_assignment.members(k)]]
-        expert_cfg = dataclasses.replace(cfg.expert_train, seed=cfg.expert_train.seed + 7919 * k)
+        seed = cfg.seed + 7919 * k
         adapter = lm.train_adapter(
-            base, cluster_docs, expert_cfg, rank=cfg.lora_rank, alpha=cfg.lora_alpha
+            base, cluster_docs, cfg.expert_train, seed, rank=cfg.lora_rank, alpha=cfg.lora_alpha
         )
         rec = store.ExpertRecord(k, int(centroids.sizes[k]), byte_size=0, checksum="")
         path = work / rec.adapter_path
@@ -168,7 +167,7 @@ def load_built(docs: list[str], catalog_dir: str | Path) -> BuildResult:
         raise ValueError(
             f"catalog {catalog_dir}: {ASSIGNMENT_NAME} holds bad labels ({exc})"
         ) from exc
-    split = split_holdout(len(docs), assignment, cfg.protocol)
+    split = split_holdout(len(docs), assignment, cfg.protocol, cfg.seed)
     return BuildResult(
         cfg=cfg, catalog=cat, base=base, embeddings=embeddings, assignment=assignment, split=split
     )

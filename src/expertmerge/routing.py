@@ -56,10 +56,6 @@ class MergeWeights:
     def n_active(self) -> int:
         return len(self.entries)
 
-    def argmax(self) -> int:
-        # lower expert id wins ties
-        return min(self.entries, key=lambda k: (-self.entries[k], k))
-
 
 def sparse_softmax(z: np.ndarray, tau: float) -> MergeWeights:
     """softmax, prune entries with probability <= tau, renormalize.

@@ -25,6 +25,11 @@ class CallCounter:
         monkeypatch.setattr(module, name, counted)
 
 
+def heaviest(weights) -> int:
+    """The expert id of the largest merge weight; the lower id wins ties."""
+    return min(weights.entries, key=lambda k: (-weights.entries[k], k))
+
+
 def random_unit_vectors(n: int, d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))

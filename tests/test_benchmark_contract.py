@@ -69,12 +69,12 @@ def test_nll_and_grad_runs_once_per_training_step(monkeypatch, n, batch_size, ep
     rng = np.random.default_rng(n)
     docs = ["".join(rng.choice(list("abcdef"), size=int(rng.integers(2, 12)))) for _ in range(n)]
     counter = CallCounter(monkeypatch, lm, "nll_and_grad")
-    cfg = lm.TrainConfig(batch_size=batch_size, epochs=epochs)
-    lm.train_adapter(base, docs, cfg, rank=2)
+    monkeypatch.setattr(lm, "BATCH_SIZE", batch_size)
+    lm.train_adapter(base, docs, lm.TrainConfig(epochs=epochs), 0, rank=2)
     assert counter.calls == epochs * math.ceil(n / batch_size)
     counter.calls = 0
     embs = rng.standard_normal((n, 4)).astype(np.float32)
-    ttt_adapt(base, embs[0], embs, docs, n - 1, lm.TrainConfig(batch_size=1), rank=2, alpha=4.0)
+    ttt_adapt(base, embs[0], embs, docs, n - 1, 2e-4, 0, rank=2, alpha=4.0)
     assert counter.calls == n - 1
 
 

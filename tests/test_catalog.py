@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CallCounter
+from conftest import CallCounter, heaviest
 from expertmerge import catalog as cat
 from expertmerge import model as lm
 from expertmerge.routing import RoutingConfig
@@ -19,8 +19,8 @@ def fingerprint(small_base):
 
 @pytest.fixture
 def adapter(small_base):
-    cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=7)
-    return lm.train_adapter(small_base, ["abcd", "efgh"], cfg, rank=2)
+    cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1)
+    return lm.train_adapter(small_base, ["abcd", "efgh"], cfg, 7, rank=2)
 
 
 def test_roundtrip_bitwise(tmp_path, adapter, fingerprint):
@@ -183,8 +183,8 @@ def build_catalog_dir(tmp_path, base, n_experts, docs):
     rng = np.random.default_rng(0)
     records = []
     for k in range(n_experts):
-        cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=100 + k)
-        adapter = lm.train_adapter(base, docs, cfg, rank=2)
+        cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1)
+        adapter = lm.train_adapter(base, docs, cfg, 100 + k, rank=2)
         rec = cat.ExpertRecord(k, cluster_size=5 + k, byte_size=0, checksum="")
         rec.byte_size, rec.checksum = cat.save_adapter(adapter, root / rec.adapter_path, fp)
         records.append(rec)
@@ -440,8 +440,9 @@ def test_load_active_missing_expert(tmp_path, small_base):
     for k in (7, 2, -1):
         with pytest.raises(ValueError, match=rf"expert id {k} is not in 0\.\.1"):
             cat.load_active(catalog, [k])
-    catalog.adapter_file(0).unlink()
-    with pytest.raises(FileNotFoundError, match="adapter file missing"):
+    path = catalog.adapter_file(0)
+    path.unlink()
+    with pytest.raises(ValueError, match=rf"^adapter {re.escape(str(path))}: cannot read it \("):
         cat.load_active(catalog, [0])
 
 
@@ -464,7 +465,7 @@ def test_timed_route_merge(tmp_path, small_base):
     for beta in (1e-3, 1.0):  # a sharp and a flat routing
         merged, report = cat.timed_route_merge(catalog, query, RoutingConfig(beta=beta, tau=0.0))
         support = merged.provenance.support
-        assert merged.provenance.argmax() == 2
+        assert heaviest(merged.provenance) == 2
         # the fields a serving benchmark reads
         assert report.n_active == len(support)
         assert report.bytes_loaded == sum(catalog.records[k].byte_size for k in support)

@@ -28,7 +28,7 @@ def make_assignment(labels):
 
 def test_split_is_partition():
     labels = [0] * 10 + [1] * 6 + [2] * 4
-    split = split_holdout(20, make_assignment(labels), EvalProtocol(seed=3))
+    split = split_holdout(20, make_assignment(labels), EvalProtocol(), 3)
     pieces = [split.train_idx.tolist(), list(split.test.values())]
     pieces.extend(idx.tolist() for idx in split.holdout.values())
     flat = [i for piece in pieces for i in piece]
@@ -40,16 +40,16 @@ def test_split_is_partition():
 
 def test_split_deterministic():
     labels = [0] * 8 + [1] * 8
-    a = split_holdout(16, make_assignment(labels), EvalProtocol(seed=5))
-    b = split_holdout(16, make_assignment(labels), EvalProtocol(seed=5))
+    a = split_holdout(16, make_assignment(labels), EvalProtocol(), 5)
+    b = split_holdout(16, make_assignment(labels), EvalProtocol(), 5)
     assert np.array_equal(a.train_idx, b.train_idx)
     assert a.test == b.test
 
 
 def test_split_tiny_fraction_still_tests():
     labels = [0] * 5 + [1] * 5
-    proto = EvalProtocol(holdout_fraction=0.0, seed=0)
-    split = split_holdout(10, make_assignment(labels), proto)
+    proto = EvalProtocol(holdout_fraction=0.0)
+    split = split_holdout(10, make_assignment(labels), proto, 0)
     assert len(split.test) == 2
     assert len(split.train_idx) == 8
 
@@ -57,17 +57,17 @@ def test_split_tiny_fraction_still_tests():
 def test_split_cluster_too_small():
     labels = [0, 0, 0, 1]
     with pytest.raises(ValueError, match="too small"):
-        split_holdout(4, make_assignment(labels), EvalProtocol(seed=0))
+        split_holdout(4, make_assignment(labels), EvalProtocol(), 0)
 
 
 def test_split_size_mismatch():
     with pytest.raises(ValueError, match="does not cover"):
-        split_holdout(5, make_assignment([0, 0, 1, 1]), EvalProtocol(seed=0))
+        split_holdout(5, make_assignment([0, 0, 1, 1]), EvalProtocol(), 0)
 
 
 def test_global_finetune_lr_zero_is_base(small_base):
-    cfg = lm.TrainConfig(learning_rate=0.0, epochs=1, seed=0)
-    adapter = global_finetune(small_base, ["abcd", "efgh"], cfg, rank=2, alpha=16.0)
+    cfg = lm.TrainConfig(learning_rate=0.0, epochs=1)
+    adapter = global_finetune(small_base, ["abcd", "efgh"], cfg, 0, rank=2, alpha=16.0)
     out = lm.forward(small_base, adapter, "ab")
     assert np.array_equal(out, lm.forward(small_base, None, "ab"))
 
@@ -79,7 +79,7 @@ def test_one_cluster_expert_is_global_finetune(tmp_path):
     built = pipeline.build_catalog(docs, cfg, tmp_path / "catalog")
     train_docs = [docs[i] for i in built.split.train_idx]
     finetune = global_finetune(
-        built.base, train_docs, cfg.expert_train, cfg.lora_rank, cfg.lora_alpha
+        built.base, train_docs, cfg.expert_train, cfg.seed, cfg.lora_rank, cfg.lora_alpha
     )
     expert = load_active(built.catalog, [0], built.base)[0]
     assert np.array_equal(expert.theta, finetune.theta)
@@ -97,8 +97,7 @@ def corpus_embeddings(docs):
 def test_ttt_lr_zero_keeps_base(small_base):
     docs = ["abcd", "bcda", "efgh"]
     _, embs = corpus_embeddings(docs)
-    cfg = lm.TrainConfig(learning_rate=0.0, epochs=1, seed=0)
-    adapter = ttt_adapt(small_base, embs[0], embs, docs, 2, cfg, rank=2, alpha=2.0)
+    adapter = ttt_adapt(small_base, embs[0], embs, docs, 2, 0.0, 0, rank=2, alpha=2.0)
     assert np.array_equal(
         lm.forward(small_base, adapter, "ab"), lm.forward(small_base, None, "ab")
     )
@@ -107,8 +106,7 @@ def test_ttt_lr_zero_keeps_base(small_base):
 def test_ttt_single_self_neighbor_improves(small_base):
     docs = ["abcdabcdabcd", "hgfe", "gfeh"]
     _, embs = corpus_embeddings(docs)
-    cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=1)
-    adapter = ttt_adapt(small_base, embs[0], embs, docs, 1, cfg, rank=2, alpha=16.0)
+    adapter = ttt_adapt(small_base, embs[0], embs, docs, 1, 5e-3, 1, rank=2, alpha=16.0)
     before = np.log(lm.perplexity(small_base, None, [docs[0]]))
     after = np.log(lm.perplexity(small_base, adapter, [docs[0]]))
     assert after < before
@@ -117,9 +115,8 @@ def test_ttt_single_self_neighbor_improves(small_base):
 def test_ttt_n_too_large(small_base):
     docs = ["abcd"]
     _, embs = corpus_embeddings(docs)
-    cfg = lm.TrainConfig(learning_rate=1e-3, epochs=1, seed=0)
     with pytest.raises(ValueError, match="exceeds corpus size"):
-        ttt_adapt(small_base, embs[0], embs, docs, 2, cfg, rank=1, alpha=1.0)
+        ttt_adapt(small_base, embs[0], embs, docs, 2, 1e-3, 0, rank=1, alpha=1.0)
 
 
 def test_expert_cluster_matrix_matches_perplexity(small_base):
@@ -127,7 +124,8 @@ def test_expert_cluster_matrix_matches_perplexity(small_base):
         k: lm.train_adapter(
             small_base,
             [doc],
-            lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=k),
+            lm.TrainConfig(learning_rate=5e-3, epochs=1),
+            k,
             rank=1,
         )
         for k, doc in enumerate(["abab", "cdcd", "hgfehgfe"])
@@ -176,7 +174,7 @@ def test_pass_at_n_wrong_cluster_counted():
 
 def test_ensemble_perplexity_single_expert(small_base):
     adapter = lm.train_adapter(
-        small_base, ["abcd"], lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=2), rank=2
+        small_base, ["abcd"], lm.TrainConfig(learning_rate=5e-3, epochs=1), 2, rank=2
     )
     docs = ["abcd", "dcba"]
     mix = ensemble_perplexity(small_base, MergeWeights(entries={0: 1.0}), {0: adapter}, docs)

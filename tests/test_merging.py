@@ -12,8 +12,8 @@ def trained_adapters(base, n, rank=2, seed0=50):
     out = {}
     rng_docs = ["abcd", "dcba", "bacd", "abdc"]
     for k in range(n):
-        cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=seed0 + k)
-        out[k] = lm.train_adapter(base, rng_docs, cfg, rank=rank)
+        cfg = lm.TrainConfig(learning_rate=5e-3, epochs=1)
+        out[k] = lm.train_adapter(base, rng_docs, cfg, seed0 + k, rank=rank)
     return out
 
 
@@ -67,10 +67,10 @@ def test_merge_float32_overflow_raises():
 
 def test_merge_mixed_ranks(small_base):
     a_r1 = lm.train_adapter(
-        small_base, ["abcd"], lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=1), rank=1
+        small_base, ["abcd"], lm.TrainConfig(learning_rate=5e-3, epochs=1), 1, rank=1
     )
     a_r4 = lm.train_adapter(
-        small_base, ["dcba"], lm.TrainConfig(learning_rate=5e-3, epochs=1, seed=2), rank=4
+        small_base, ["dcba"], lm.TrainConfig(learning_rate=5e-3, epochs=1), 2, rank=4
     )
     merged = merge_adapters(MergeWeights(entries={0: 0.5, 1: 0.5}), {0: a_r1, 1: a_r4})
     for name, delta in merged.deltas.items():

@@ -167,8 +167,8 @@ def test_nll_empty_batch(tiny_base):
 
 
 def test_train_lr_zero_keeps_zero_delta(tiny_base):
-    cfg = lm.TrainConfig(learning_rate=0.0, epochs=1, seed=2)
-    adapter = lm.train_adapter(tiny_base, ["abc", "cab"], cfg, rank=2)
+    cfg = lm.TrainConfig(learning_rate=0.0, epochs=1)
+    adapter = lm.train_adapter(tiny_base, ["abc", "cab"], cfg, 2, rank=2)
     for _, b in adapter.factors.values():
         assert not b.any()
     out = lm.forward(tiny_base, adapter, "ab")
@@ -177,17 +177,17 @@ def test_train_lr_zero_keeps_zero_delta(tiny_base):
 
 def test_train_decreases_nll(tiny_base):
     doc = "abcabcabc"
-    cfg = lm.TrainConfig(learning_rate=5e-3, epochs=5, batch_size=1, seed=3)
+    cfg = lm.TrainConfig(learning_rate=5e-3, epochs=5)
     before = np.log(lm.perplexity(tiny_base, None, [doc]))
-    adapter = lm.train_adapter(tiny_base, [doc], cfg, rank=2)
+    adapter = lm.train_adapter(tiny_base, [doc], cfg, 3, rank=2)
     after = np.log(lm.perplexity(tiny_base, adapter, [doc]))
     assert after < before
 
 
 def test_train_deterministic(tiny_base):
-    cfg = lm.TrainConfig(learning_rate=1e-3, epochs=2, seed=9)
-    a1 = lm.train_adapter(tiny_base, ["abc", "bca", "cab"], cfg, rank=2)
-    a2 = lm.train_adapter(tiny_base, ["abc", "bca", "cab"], cfg, rank=2)
+    cfg = lm.TrainConfig(learning_rate=1e-3, epochs=2)
+    a1 = lm.train_adapter(tiny_base, ["abc", "bca", "cab"], cfg, 9, rank=2)
+    a2 = lm.train_adapter(tiny_base, ["abc", "bca", "cab"], cfg, 9, rank=2)
     assert np.array_equal(a1.theta, a2.theta)
 
 
@@ -195,11 +195,12 @@ def test_train_deterministic(tiny_base):
 def test_training_encodes_each_document_once(tiny_base, monkeypatch, train):
     docs = ["abc", "cab", "bca", "aabb", "c"]
     counter = CallCounter(monkeypatch, lm.Vocab, "encode")
-    cfg = lm.TrainConfig(batch_size=2, epochs=2)
+    monkeypatch.setattr(lm, "BATCH_SIZE", 2)
+    cfg = lm.TrainConfig(epochs=2)
     if train == "adapter":
-        lm.train_adapter(tiny_base, docs, cfg, rank=2)
+        lm.train_adapter(tiny_base, docs, cfg, 0, rank=2)
     else:
-        lm.train_base(tiny_base.vocab, docs, cfg, hidden=4)
+        lm.train_base(tiny_base.vocab, docs, cfg, 0, hidden=4)
     assert counter.calls == len(docs)
 
 
@@ -211,11 +212,12 @@ def test_training_builds_no_adapter_per_step(tiny_base, monkeypatch, n_docs):
 
     docs = ["abc", "cab", "bca", "aabb", "c", "ba"][:n_docs]
     counter = CallCounter(monkeypatch, lm.LoraAdapter, "__post_init__")
-    lm.train_adapter(tiny_base, docs, lm.TrainConfig(batch_size=1, epochs=2), rank=2)
+    monkeypatch.setattr(lm, "BATCH_SIZE", 1)
+    lm.train_adapter(tiny_base, docs, lm.TrainConfig(epochs=2), 0, rank=2)
     assert counter.calls == 2
     counter.calls = 0
     embs = np.random.default_rng(n_docs).standard_normal((n_docs, 4)).astype(np.float32)
-    ttt_adapt(tiny_base, embs[0], embs, docs, n_docs, lm.TrainConfig(batch_size=1), 2, 4.0)
+    ttt_adapt(tiny_base, embs[0], embs, docs, n_docs, 2e-4, 0, 2, 4.0)
     assert counter.calls == 2
 
 
@@ -224,9 +226,9 @@ def test_train_diverged_reported(tiny_base, monkeypatch):
         return float("nan"), {}
 
     monkeypatch.setattr(lm, "nll_and_grad", exploding)
-    cfg = lm.TrainConfig(learning_rate=1e-3, epochs=1, seed=0)
+    cfg = lm.TrainConfig(learning_rate=1e-3, epochs=1)
     with pytest.raises(ArithmeticError, match="diverged at step 0"):
-        lm.train_adapter(tiny_base, ["abc"], cfg)
+        lm.train_adapter(tiny_base, ["abc"], cfg, 0)
 
 
 def test_theta_layout():
@@ -259,8 +261,8 @@ def test_theta_layout():
 # the oracle: every training loop must reproduce it bit for bit.
 
 
-def reference_fit(params, batches, loss_and_grad, cfg):
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+def reference_fit(params, batches, loss_and_grad, learning_rate):
+    b1, b2 = lm.ADAM_BETA1, lm.ADAM_BETA2
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(x) for k, x in params.items()}
     for t, batch in enumerate(batches, start=1):
@@ -270,13 +272,13 @@ def reference_fit(params, batches, loss_and_grad, cfg):
             v[k] = b2 * v[k] + (1 - b2) * g * g
             m_hat = m[k] / (1 - b1**t)
             v_hat = v[k] / (1 - b2**t)
-            params[k] -= cfg.learning_rate * (
-                m_hat / (np.sqrt(v_hat) + cfg.adam_eps) + cfg.weight_decay * params[k]
+            params[k] -= learning_rate * (
+                m_hat / (np.sqrt(v_hat) + lm.ADAM_EPS) + lm.WEIGHT_DECAY * params[k]
             )
     return m, v
 
 
-def test_adamw_one_vector_matches_dict():
+def test_adamw_one_vector_matches_dict(monkeypatch):
     # the float64 state is compared directly: a reordered rounding in the
     # moments is mostly absorbed by the time it reaches theta
     rng = np.random.default_rng(0)
@@ -284,16 +286,16 @@ def test_adamw_one_vector_matches_dict():
     params = {k: rng.standard_normal(s) for k, s in shapes.items()}
     theta = np.concatenate([x.ravel() for x in params.values()])
     grads = [{k: rng.standard_normal(s) for k, s in shapes.items()} for _ in range(50)]
-    cfg = lm.TrainConfig(learning_rate=1e-2, weight_decay=0.1)
-    m, v = reference_fit(params, grads, lambda g: (0.0, g), cfg)
-    opt = lm._AdamW(theta, cfg)
+    monkeypatch.setattr(lm, "WEIGHT_DECAY", 0.1)
+    m, v = reference_fit(params, grads, lambda g: (0.0, g), 1e-2)
+    opt = lm._AdamW(theta, 1e-2)
     for g in grads:
         opt.step(theta, np.concatenate([x.ravel() for x in g.values()]))
     for got, want in ((theta, params), (opt.m, m), (opt.v, v)):
         assert np.array_equal(got, np.concatenate([x.ravel() for x in want.values()]))
 
 
-def reference_fit_adapter(base, init, batches, cfg):
+def reference_fit_adapter(base, init, batches, learning_rate):
     params = {
         (n, s): x.astype(np.float64) for n, pair in init.factors.items() for s, x in zip("AB", pair)
     }
@@ -312,7 +314,7 @@ def reference_fit_adapter(base, init, batches, cfg):
             grads[n, "B"] = adapter.scale * (dense[n] @ a.astype(np.float64).T)
         return nll, grads
 
-    reference_fit(params, batches, loss_and_grad, cfg)
+    reference_fit(params, batches, loss_and_grad, learning_rate)
     return rounded()
 
 
@@ -322,21 +324,23 @@ def assert_same_adapter(got, want):
 
 
 @pytest.mark.parametrize(
-    "seed, changes",
-    [pytest.param(seed, {}, id=str(seed)) for seed in range(3)]
+    "seed, epochs, constants",
+    [pytest.param(seed, 3, {}, id=str(seed)) for seed in range(3)]
     + [
-        pytest.param(3, {"weight_decay": 0.0}, id="no_decay"),
-        pytest.param(4, {"epochs": 1, "batch_size": 1}, id="one_epoch_batch_1"),
+        pytest.param(3, 3, {"WEIGHT_DECAY": 0.0}, id="no_decay"),
+        pytest.param(4, 1, {"BATCH_SIZE": 1}, id="one_epoch_batch_1"),
     ],
 )
-def test_train_adapter_matches_dict_adamw(seed, changes):
+def test_train_adapter_matches_dict_adamw(monkeypatch, seed, epochs, constants):
+    # batches of 2 and documents cut at 12 characters, unless constants say otherwise
+    for name, value in {"BATCH_SIZE": 2, "MAX_SEQ_LEN": 12, **constants}.items():
+        monkeypatch.setattr(lm, name, value)
     base, _, docs = random_model(seed)
-    cfg = lm.TrainConfig(learning_rate=2e-2, batch_size=2, epochs=3, max_seq_len=12, seed=seed)
-    cfg = dataclasses.replace(cfg, **changes)
-    got = lm.train_adapter(base, docs, cfg, rank=2, alpha=3.0)
+    cfg = lm.TrainConfig(learning_rate=2e-2, epochs=epochs)
+    got = lm.train_adapter(base, docs, cfg, seed, rank=2, alpha=3.0)
     init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
-    batches = lm._minibatches(doc_keys(base.vocab, docs, cfg.max_seq_len), cfg)
-    assert_same_adapter(got, reference_fit_adapter(base, init, batches, cfg))
+    batches = lm._minibatches(doc_keys(base.vocab, docs, 12), epochs, seed)
+    assert_same_adapter(got, reference_fit_adapter(base, init, batches, cfg.learning_rate))
     assert any(b.any() for _, b in got.factors.values())
 
 
@@ -349,29 +353,30 @@ def test_ttt_adapt_matches_dict_adamw(seed):
     docs = ["".join(rng.choice(list("abcdef"), size=int(rng.integers(3, 20)))) for _ in range(9)]
     embs = rng.standard_normal((len(docs), 6)).astype(np.float32)
     query = rng.standard_normal(6).astype(np.float32)
-    cfg = lm.TrainConfig(learning_rate=2e-2, batch_size=1, epochs=1, seed=seed)
-    got = ttt_adapt(base, query, embs, docs, 5, cfg, rank=2, alpha=3.0)
+    got = ttt_adapt(base, query, embs, docs, 5, 2e-2, seed, rank=2, alpha=3.0)
     sims = embs.astype(np.float64) @ query.astype(np.float64)
     order = np.lexsort((np.arange(len(sims)), -sims))[:5]
     init = lm.LoraAdapter.init(base, rank=2, alpha=3.0, seed=seed)
-    batches = ([lm._pair_keys(base.vocab, docs[i], cfg.max_seq_len)] for i in order)
-    assert_same_adapter(got, reference_fit_adapter(base, init, batches, cfg))
+    batches = ([lm._pair_keys(base.vocab, docs[i])] for i in order)
+    assert_same_adapter(got, reference_fit_adapter(base, init, batches, 2e-2))
 
 
 @pytest.mark.parametrize("hidden", [5, 8])
-def test_train_base_matches_dict_adamw(hidden):
+def test_train_base_matches_dict_adamw(monkeypatch, hidden):
+    monkeypatch.setattr(lm, "BATCH_SIZE", 2)
+    monkeypatch.setattr(lm, "MAX_SEQ_LEN", 7)
     vocab = lm.Vocab.from_corpus(["abcdef"])
     docs = ["abcabcdef", "fedcba", "aabbcc", "defdef", "c"]
-    cfg = lm.TrainConfig(learning_rate=1e-2, batch_size=2, epochs=3, max_seq_len=7, seed=hidden)
-    got = lm.train_base(vocab, docs, cfg, hidden=hidden)
-    init = lm.BaseParams.init_random(vocab, hidden, cfg.seed)
+    cfg = lm.TrainConfig(learning_rate=1e-2, epochs=3)
+    got = lm.train_base(vocab, docs, cfg, hidden, hidden=hidden)
+    init = lm.BaseParams.init_random(vocab, hidden, hidden)
     params = {n: getattr(init, n).astype(np.float64) for n in lm.DENSE_NAMES}
 
     def loss_and_grad(batch):
         return lm._backward(params, lm._pair_counts(vocab.size, batch), embed=True)
 
-    batches = lm._minibatches(doc_keys(vocab, docs, cfg.max_seq_len), cfg)
-    reference_fit(params, batches, loss_and_grad, cfg)
+    batches = lm._minibatches(doc_keys(vocab, docs, 7), cfg.epochs, hidden)
+    reference_fit(params, batches, loss_and_grad, cfg.learning_rate)
     for n in lm.DENSE_NAMES:
         assert np.array_equal(getattr(got, n), params[n].astype(np.float32))
         assert not np.array_equal(getattr(got, n), getattr(init, n))
@@ -507,8 +512,8 @@ def test_with_flat_validation():
 
 def test_train_base_learns(tiny_vocab):
     docs = ["abcabcabcabc"] * 8
-    cfg = lm.TrainConfig(learning_rate=5e-3, epochs=4, seed=0)
-    base = lm.train_base(tiny_vocab, docs, cfg, hidden=8)
+    cfg = lm.TrainConfig(learning_rate=5e-3, epochs=4)
+    base = lm.train_base(tiny_vocab, docs, cfg, 0, hidden=8)
     random_base = lm.BaseParams.init_random(tiny_vocab, hidden=8, seed=0)
     assert lm.perplexity(base, None, docs) < lm.perplexity(random_base, None, docs)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import re
 import shutil
@@ -38,9 +39,9 @@ def tiny_run_config(seed=0):
             chars_per_domain=4,
             seed=seed,
         ),
-        base_train=TrainConfig(learning_rate=5e-3, epochs=1, seed=seed),
-        expert_train=TrainConfig(learning_rate=1e-2, epochs=1, seed=seed),
-        protocol=EvalProtocol(query_prefix_len=10, eval_prefix_len=5, seed=seed),
+        base_train=TrainConfig(learning_rate=5e-3, epochs=1),
+        expert_train=TrainConfig(learning_rate=1e-2, epochs=1),
+        protocol=EvalProtocol(query_prefix_len=10, eval_prefix_len=5),
     )
 
 
@@ -445,6 +446,138 @@ def test_manifest_byte_size_checked(built, tmp_path, capsys):
         assert main(["generate", str(root), prompt, "--method", f"expert-{k}"]) == 1
         assert re.search(message, capsys.readouterr().err)
     assert main(["generate", str(root), prompt, "--method", "base"]) == 0
+
+
+@pytest.mark.parametrize("damage", ["missing", "directory"])
+def test_cli_unreadable_adapter_is_one_error_line(built, tmp_path, capsys, damage):
+    result, docs, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    path = root / result.catalog.records[0].adapter_path
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+    assert main(["generate", str(root), docs[0][:6], "--method", "expert-0"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: adapter {path}: cannot read it (")
+
+
+def test_open_catalog_names_a_removed_config_key(built, tmp_path):
+    # a catalog built while base_train still had adam_beta1
+    result, _, _ = built
+    root = tmp_path / "cat"
+    shutil.copytree(result.catalog.root, root)
+    path = root / "config.yaml"
+    path.write_text(path.read_text().replace("base_train:\n", "base_train:\n  adam_beta1: 0.9\n"))
+    message = "bad config: unknown config key: base_train.adam_beta1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline.open_catalog(root)
+
+
+def test_run_seed_seeds_every_stage(tiny_corpus, tmp_path, monkeypatch):
+    docs, _, cfg = tiny_corpus
+    cfg = dataclasses.replace(cfg, seed=5)
+    seeds: dict[str, list[int]] = {}
+
+    def spy(module, name):
+        original = getattr(module, name)
+        signature = inspect.signature(original)
+        seeds[name] = []
+
+        def spied(*args, **kwargs):
+            seeds[name].append(signature.bind(*args, **kwargs).arguments["seed"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spied)
+
+    spy(lm, "train_base")
+    spy(lm, "train_adapter")
+    spy(pipeline, "split_holdout")
+    spy(evaluation, "ttt_adapt")
+    pipeline.build_catalog(docs, cfg, tmp_path / "cat")
+    built = pipeline.load_built(docs, tmp_path / "cat")
+    K = built.catalog.K
+    evaluation.run_table1(
+        docs,
+        built.embeddings,
+        built.assignment,
+        built.split,
+        built.base,
+        built.catalog,
+        built.cfg,
+        methods=("finetune", "ttt"),
+    )
+    # the experts, then global fine-tuning
+    assert seeds["train_adapter"] == [5 + 7919 * k for k in range(K)] + [5]
+    assert seeds["train_base"] == [5]
+    assert seeds["split_holdout"] == [5, 5]  # the build's split, then load_built's
+    assert seeds["ttt_adapt"] == [5] * K
+
+
+# one changed value per dotted key of RunConfig().to_dict(), each valid on
+# tiny_run_config()
+KNOB_VALUES = {
+    "seed": 1,
+    "n_clusters": 3,
+    "hidden": 9,
+    "lora_rank": 3,
+    "lora_alpha": 2.0,
+    "base_pretrain_fraction": 0.5,
+    "ttt_neighbors": 5,
+    "ttt_learning_rate": 1e-3,
+    "embedder.dim": 32,
+    "embedder.ngram_orders": [2, 3],
+    "embedder.hash_seed": 1,
+    "corpus.n_domains": 3,
+    "corpus.modes_per_domain": 3,
+    "corpus.docs_per_domain": 13,
+    "corpus.min_doc_len": 31,
+    "corpus.max_doc_len": 41,
+    "corpus.chars_per_domain": 5,
+    "corpus.follow_prob": 0.8,
+    "corpus.seed": 1,
+    "base_train.learning_rate": 1e-2,
+    "base_train.epochs": 2,
+    "expert_train.learning_rate": 2e-2,
+    "expert_train.epochs": 2,
+    "routing.beta": 0.1,
+    "routing.tau": 0.1,
+    "routing.fixed_n": 2,
+    "protocol.query_prefix_len": 12,
+    "protocol.eval_prefix_len": 6,
+    "protocol.holdout_fraction": 0.3,
+}
+
+
+def run_outputs(cfg: RunConfig, out: Path):
+    """What a run of cfg makes: the corpus, the catalog's manifest, adapter,
+    centroid and embedding bytes, and run_table1's perplexities."""
+    docs, _, _ = generate_corpus(cfg.corpus)
+    built = pipeline.build_catalog(docs, cfg, out)
+    names = [store.MANIFEST_NAME, store.CENTROIDS_NAME, pipeline.EMBEDDINGS_NAME]
+    names += [rec.adapter_path for rec in built.catalog.records]
+    files = {name: (out / name).read_bytes() for name in names}
+    report = evaluation.run_table1(
+        docs, built.embeddings, built.assignment, built.split, built.base, built.catalog, cfg
+    )
+    return docs, files, report.perplexities
+
+
+@pytest.fixture(scope="module")
+def tiny_outputs(tmp_path_factory):
+    return run_outputs(tiny_run_config(), tmp_path_factory.mktemp("knobs") / "cat")
+
+
+@pytest.mark.parametrize("key", sorted(KNOB_VALUES))
+def test_every_config_key_changes_an_output(tiny_outputs, tmp_path, key):
+    # a key that changes none of a run's outputs is a dead knob
+    data = RunConfig().to_dict()
+    keys = {k for k, v in data.items() if not isinstance(v, dict)}
+    keys |= {f"{k}.{sub}" for k, v in data.items() if isinstance(v, dict) for sub in v}
+    assert set(KNOB_VALUES) == keys
+    cfg = tiny_run_config().with_overrides({key: KNOB_VALUES[key]})
+    docs, files, ppl = run_outputs(cfg, tmp_path / "cat")
+    assert (docs, files, ppl) != tiny_outputs
 
 
 def test_cli_generate_rejects_other_base(built, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FakeCatalog, random_unit_vectors
+from conftest import FakeCatalog, heaviest, random_unit_vectors
 from expertmerge.routing import (
     MergeWeights,
     RoutingConfig,
@@ -29,7 +29,6 @@ def test_merge_weights_validation():
         MergeWeights(entries={0: 1.5, 1: -0.5})
     w = MergeWeights(entries={3: 0.25, 1: 0.75})
     assert w.support == [1, 3]
-    assert w.argmax() == 1
 
 
 def test_sparse_softmax_equal_logits():
@@ -77,7 +76,7 @@ def test_sparse_softmax_invariants(case):
     for k in range(len(z)):
         if k not in w.entries:
             assert p[k] <= tau + 1e-12
-    assert w.argmax() == int(np.argmax(p))
+    assert heaviest(w) == int(np.argmax(p))
 
 
 def test_sparse_softmax_monotone_in_logit():
@@ -177,7 +176,7 @@ def test_argmax_matches_nearest_centroid():
     q = random_unit_vectors(1, 16, 25)[0]
     w = route(q, FakeCatalog(centroids), RoutingConfig(beta=0.05, tau=0.01))
     sims = centroids.astype(np.float64) @ q.astype(np.float64)
-    assert w.argmax() == int(np.argmax(sims))
+    assert heaviest(w) == int(np.argmax(sims))
 
 
 def test_routing_config_validation():
